@@ -22,7 +22,7 @@ identical final pair sets.  The headline metric is
     ``write_mix_speedup = baseline_seconds / delta_seconds``
 
 recorded into ``BENCH_micro.json`` (covered by the ``*_speedup`` CI
-regression gate) with the acceptance bar **>= 3x** asserted by
+regression gate) with the acceptance bar **>= 2x** asserted by
 ``test_micro_write_mix.py``.  Set ``REPRO_BENCH_QUICK=1`` for the CI smoke
 mode (smaller workload, ``quick_mode: true`` — skipped by the gate).
 """

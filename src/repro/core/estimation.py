@@ -17,7 +17,9 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Optional, Sequence
 
-from repro.data.relation import Relation
+import numpy as np
+
+from repro.data.relation import Relation, full_join_size
 
 
 @dataclass(frozen=True)
@@ -82,7 +84,7 @@ def detect_heavy_join_keys(
     attribute ``y``; a key whose tuple count approaches a fair shard's share
     (``N / shards``) turns whichever hash shard owns it into the straggler
     that the paper's Section 6 partitioning argument was supposed to avoid.
-    The per-key degree statistics (``degrees_y``, the same map the
+    The per-key degree statistics (the ``csr_y`` degree vector the
     :class:`~repro.data.indexes.DegreeIndex` machinery is built from) find
     those keys: a key is heavy when its degree exceeds
     ``balance_factor * N / shards``.
@@ -93,15 +95,16 @@ def detect_heavy_join_keys(
     """
     if shards <= 1 or len(relation) == 0:
         return {}
-    degrees = relation.degrees_y()
+    index = relation.csr_y()
     fair_share = len(relation) / float(shards)  # sum of y degrees == N
     threshold = max(balance_factor * fair_share, 1.0)
-    heavy = {int(y): int(d) for y, d in degrees.items() if d > threshold}
+    heavy = index.degrees > threshold
+    keys, degrees = index.keys[heavy], index.degrees[heavy]
     cap = int(shards) if max_heavy is None else max(int(max_heavy), 0)
-    if len(heavy) > cap:
-        kept = sorted(heavy.items(), key=lambda kv: (-kv[1], kv[0]))[:cap]
-        heavy = dict(kept)
-    return heavy
+    if keys.size > cap:
+        kept = np.lexsort((keys, -degrees))[:cap]
+        keys, degrees = keys[kept], degrees[kept]
+    return dict(zip(keys.tolist(), degrees.tolist()))
 
 
 def estimate_star_output_size(relations: Sequence[Relation]) -> OutputEstimate:
@@ -112,11 +115,9 @@ def estimate_star_output_size(relations: Sequence[Relation]) -> OutputEstimate:
     domains, and also at most the full join size.  The full join size is
     computed exactly from per-``y`` degree products.
     """
-    from repro.joins.leapfrog import star_full_join_size  # local import to avoid a cycle
-
     if not relations:
         return OutputEstimate(0.0, 0.0, 0.0, 0)
-    out_join = star_full_join_size(relations)
+    out_join = full_join_size(relations)
     doms = [max(int(rel.x_values().size), 1) for rel in relations]
     lower = float(max(doms))
     product = 1.0

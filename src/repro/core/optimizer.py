@@ -167,9 +167,7 @@ class CostBasedOptimizer:
                 full_join_size=out_join,
             )
         out_estimate = max(estimate.estimate, 1.0)
-        max_degree = max(
-            max((d for d in rel.degrees_y().values()), default=1) for rel in relations
-        )
+        max_degree = max(int(rel.csr_y().degrees.max(initial=1)) for rel in relations)
         candidates = _power_of_two_grid(max_degree)
         best: Optional[Tuple[float, int, int]] = None
         seen: set = set()

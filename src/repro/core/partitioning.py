@@ -21,7 +21,7 @@ is covered by the heavy adjacency matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import List, Sequence, Tuple
 
 import numpy as np
 
@@ -77,53 +77,17 @@ def partition_two_path(
     """
     delta1 = max(int(delta1), 1)
     delta2 = max(int(delta2), 1)
-    left_deg_y = left.degrees_y()
-    right_deg_y = right.degrees_y()
-
-    def y_is_heavy(y: int) -> bool:
-        return (
-            left_deg_y.get(y, 0) > delta1 and right_deg_y.get(y, 0) > delta1
-        )
-
-    heavy_y = np.asarray(
-        sorted(
-            y
-            for y in set(left_deg_y) & set(right_deg_y)
-            if y_is_heavy(int(y))
-        ),
-        dtype=np.int64,
-    )
-    heavy_y_set = set(int(v) for v in heavy_y)
-
-    left_deg_x = left.degrees_x()
-    right_deg_x = right.degrees_x()
-    heavy_x = np.asarray(
-        sorted(x for x, d in left_deg_x.items() if d > delta2), dtype=np.int64
-    )
-    heavy_z = np.asarray(
-        sorted(z for z, d in right_deg_x.items() if d > delta2), dtype=np.int64
-    )
-    heavy_x_set = set(int(v) for v in heavy_x)
-    heavy_z_set = set(int(v) for v in heavy_z)
-
-    def split(relation: Relation, heavy_heads: Set[int]) -> Tuple[Relation, Relation]:
-        if len(relation) == 0:
-            return Relation.empty(relation.name), Relation.empty(relation.name)
-        xs = relation.xs
-        ys = relation.ys
-        head_heavy = np.fromiter(
-            (int(x) in heavy_heads for x in xs), count=xs.size, dtype=bool
-        )
-        witness_heavy = np.fromiter(
-            (int(y) in heavy_y_set for y in ys), count=ys.size, dtype=bool
-        )
-        light_mask = ~(head_heavy & witness_heavy)
-        light = relation.filter_pairs(light_mask, name=f"{relation.name}-")
-        heavy = relation.filter_pairs(~light_mask, name=f"{relation.name}+")
-        return light, heavy
-
-    r_light, r_heavy = split(left, heavy_x_set)
-    s_light, s_heavy = split(right, heavy_z_set)
+    left_y = left.csr_y()
+    heavy_y = left_y.keys[
+        (left_y.degrees > delta1) & (right.csr_y().degrees_of(left_y.keys) > delta1)
+    ]
+    # R+ keeps the tuples with a heavy head and a heavy witness; R- is the rest.
+    _, r_mask = _split(left, heavy_y, delta2)
+    _, s_mask = _split(right, heavy_y, delta2)
+    r_light = left.filter_pairs(~r_mask, name=f"{left.name}-")
+    r_heavy = left.filter_pairs(r_mask, name=f"{left.name}+")
+    s_light = right.filter_pairs(~s_mask, name=f"{right.name}-")
+    s_heavy = right.filter_pairs(s_mask, name=f"{right.name}+")
 
     # Only keep heavy head values that actually survive into the heavy parts
     # (their other tuples may all touch light witnesses).
@@ -141,6 +105,15 @@ def partition_two_path(
         delta1=delta1,
         delta2=delta2,
     )
+
+
+def _split(relation: Relation, heavy_y: np.ndarray, delta2: int) -> Tuple[np.ndarray, np.ndarray]:
+    """Per-tuple masks ``(head_heavy, heavy)``; ``heavy`` also needs a heavy witness."""
+    heads = relation.csr_x()
+    # The data is grouped by x in index order, so one repeat spreads the
+    # per-head verdict over the tuples.
+    head_heavy = np.repeat(heads.degrees > delta2, heads.degrees)
+    return head_heavy, head_heavy & np.isin(relation.ys, heavy_y)
 
 
 @dataclass
@@ -184,46 +157,22 @@ def partition_star(
     """
     delta1 = max(int(delta1), 1)
     delta2 = max(int(delta2), 1)
-    degree_maps = [rel.degrees_y() for rel in relations]
-    shared = set(degree_maps[0])
-    for deg in degree_maps[1:]:
-        shared &= set(deg)
-    light_y = np.asarray(
-        sorted(
-            y for y in shared if all(deg.get(y, 0) <= delta1 for deg in degree_maps)
-        ),
-        dtype=np.int64,
-    )
-    heavy_y = np.asarray(
-        sorted(set(shared) - set(int(v) for v in light_y)), dtype=np.int64
-    )
-    heavy_y_set = set(int(v) for v in heavy_y)
+    candidates = relations[0].csr_y().keys
+    degrees = np.stack([rel.csr_y().degrees_of(candidates) for rel in relations])
+    shared = (degrees > 0).all(axis=0)
+    light = shared & (degrees <= delta1).all(axis=0)
+    light_y = candidates[light]
+    heavy_y = candidates[shared & ~light]
 
     light_head: List[Relation] = []
     heavy: List[Relation] = []
-    heavy_heads: List[np.ndarray] = []
     for rel in relations:
-        deg_x = rel.degrees_x()
-        heavy_head_set = set(x for x, d in deg_x.items() if d > delta2)
-        xs = rel.xs
-        ys = rel.ys
-        if len(rel):
-            head_heavy = np.fromiter(
-                (int(x) in heavy_head_set for x in xs), count=xs.size, dtype=bool
-            )
-            witness_heavy = np.fromiter(
-                (int(y) in heavy_y_set for y in ys), count=ys.size, dtype=bool
-            )
-            light_mask = ~head_heavy
-            heavy_mask = head_heavy & witness_heavy
-            light_rel = rel.filter_pairs(light_mask, name=f"{rel.name}-")
-            heavy_rel = rel.filter_pairs(heavy_mask, name=f"{rel.name}+")
-        else:
-            light_rel = Relation.empty(f"{rel.name}-")
-            heavy_rel = Relation.empty(f"{rel.name}+")
-        light_head.append(light_rel)
-        heavy.append(heavy_rel)
-        heavy_heads.append(heavy_rel.x_values())
+        # R-_i is the light heads only: light witnesses under a heavy head
+        # are expanded by the separate light_y sub-join.
+        head_heavy, heavy_mask = _split(rel, heavy_y, delta2)
+        light_head.append(rel.filter_pairs(~head_heavy, name=f"{rel.name}-"))
+        heavy.append(rel.filter_pairs(heavy_mask, name=f"{rel.name}+"))
+    heavy_heads = [heavy_rel.x_values() for heavy_rel in heavy]
     return StarPartition(
         light_head=light_head,
         heavy=heavy,

@@ -13,13 +13,17 @@ single linear pass over an indexed relation and queried with binary search:
   most ``delta``.
 
 All three are represented here by :class:`DegreeIndex`, a sorted vector of
-per-value degrees together with prefix sums, so any query is O(log n).
+per-value degrees together with prefix sums, so any query is O(log n).  The
+degree vectors come straight from the relation's CSR indexes
+(``Relation.csr_x().degrees`` / ``csr_y().degrees``), so building the indexes
+is a linear pass of array operations plus the sort by degree — no per-value
+Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Mapping, Tuple
+from typing import Dict, Tuple
 
 import numpy as np
 
@@ -47,18 +51,6 @@ class DegreeIndex:
         else:
             self.weights = np.asarray(self.weights, dtype=np.float64)[order]
         self._prefix = np.concatenate([[0.0], np.cumsum(self.weights)])
-
-    @classmethod
-    def from_degree_map(
-        cls, degree_map: Mapping[int, int], weights: Mapping[int, float] | None = None
-    ) -> "DegreeIndex":
-        """Build from ``{value: degree}`` and optional ``{value: weight}``."""
-        values = sorted(degree_map)
-        degs = np.asarray([degree_map[v] for v in values], dtype=np.int64)
-        if weights is None:
-            return cls(degs)
-        w = np.asarray([weights[v] for v in values], dtype=np.float64)
-        return cls(degs, w)
 
     def count_at_most(self, delta: float) -> int:
         """``count(w_delta)``: number of values with degree <= delta."""
@@ -125,21 +117,20 @@ class DegreeStatistics:
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "DegreeStatistics":
-        """Build all indexes from an already-indexed relation."""
-        deg_x = relation.degrees_x()
-        deg_y = relation.degrees_y()
-        x_index = DegreeIndex.from_degree_map(deg_x)
-        y_sq_weights = {y: float(d) * float(d) for y, d in deg_y.items()}
-        y_index = DegreeIndex.from_degree_map(deg_y, y_sq_weights)
-        y_lin_weights = {y: float(d) for y, d in deg_y.items()}
-        y_tuple_cdf = DegreeIndex.from_degree_map(deg_y, y_lin_weights)
+        """Build all indexes from the relation's CSR degree vectors."""
+        deg_x = relation.csr_x().degrees
+        deg_y = relation.csr_y().degrees
+        weight_y = deg_y.astype(np.float64)
+        x_index = DegreeIndex(deg_x)
+        y_index = DegreeIndex(deg_y, weight_y * weight_y)
+        y_tuple_cdf = DegreeIndex(deg_y, weight_y)
         return cls(
             x_index=x_index,
             y_index=y_index,
             y_tuple_cdf=y_tuple_cdf,
             num_tuples=len(relation),
-            domain_x=int(relation.x_values().size),
-            domain_y=int(relation.y_values().size),
+            domain_x=int(deg_x.size),
+            domain_y=int(deg_y.size),
         )
 
     # Optimizer query helpers ------------------------------------------------

@@ -2,25 +2,33 @@
 
 The whole paper operates on binary relations ``R(x, y)`` over integer domains
 (a bipartite graph: set-id ``x`` contains element ``y``, or author ``x`` wrote
-paper ``y``).  :class:`Relation` stores such a relation as a deduplicated
-``(n, 2)`` integer array and lazily builds the indexes that every algorithm in
-the paper assumes:
+paper ``y``).  :class:`Relation` stores such a relation as a lexicographically
+sorted, deduplicated ``(n, 2)`` int64 array — built with one packed-int64
+``np.sort`` — and lazily derives one :class:`CSRIndex` per column from it:
 
-* an index from each ``x`` value to the sorted array of its ``y`` neighbours,
-* the symmetric index from ``y`` to its ``x`` neighbours,
-* per-value degree arrays for both columns.
+* ``csr_x()`` is a zero-sort view of the data (it is already grouped by ``x``
+  with each group's ``y`` partners ascending);
+* ``csr_y()`` costs the one ``(y, x)`` packed sort that the probe layout
+  ``sorted_by_y()`` needs anyway.
 
-Construction is linear (modulo sorting) and all indexes are built once and
-cached, which corresponds to the paper's "indexing relations" preprocessing
-step (Section 5).
+A :class:`CSRIndex` is three int64 arrays ``(keys, offsets, values)`` plus
+``degrees = np.diff(offsets)``; distinct values, degrees, full-join sizes,
+light/heavy masks and adjacency matrices are all array expressions over it,
+so the paper's "indexing relations" preprocessing step (Section 5) really is
+a linear pass after the sort.  ``index_x()/index_y()/degrees_x()/degrees_y()``
+are lazily materialised ``dict`` *views* of the same CSR for the per-key
+baseline engines; nothing on the MMJoin path touches them.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
+
+from repro.data.pairblock import _pack, _pack_layout
 
 Pair = Tuple[int, int]
 
@@ -57,6 +65,123 @@ class RelationStats:
         }
 
 
+def _sorted_pairs(
+    major: np.ndarray, minor: np.ndarray, dedup: bool = False
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The two columns ordered lexicographically by ``(major, minor)``.
+
+    One ``np.sort`` over packed int64 keys (the :class:`PairBlock` layout)
+    whenever the two value ranges fit a single key; ``np.lexsort`` only when
+    they overflow it.  ``dedup`` also drops repeated rows.
+    """
+    if major.size <= 1:
+        return major, minor
+    layout = _pack_layout([(major, minor)])
+    if layout is None:
+        order = np.lexsort((minor, major))
+        major, minor = major[order], minor[order]
+        if dedup:
+            keep = np.ones(major.size, dtype=bool)
+            keep[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
+            major, minor = major[keep], minor[keep]
+        return major, minor
+    mins, strides = layout
+    keys = _pack((major, minor), mins, strides)
+    keys.sort()
+    if dedup:
+        keep = np.ones(keys.size, dtype=bool)
+        keep[1:] = keys[1:] != keys[:-1]
+        keys = keys[keep]
+    high, low = np.divmod(keys, strides[0])
+    return high + mins[0], low + mins[1]
+
+
+def position_map(ids: Sequence[int], values: np.ndarray) -> np.ndarray:
+    """Position of every value within ``ids`` (``-1`` where absent).
+
+    ``ids`` name the rows (or columns) of a matrix, in any order, so they
+    must be distinct: a repeated id would own two positions.
+    """
+    ids = np.asarray(ids, dtype=np.int64).reshape(-1)
+    order = np.argsort(ids, kind="stable")
+    sorted_ids = ids[order]
+    if sorted_ids.size > 1 and bool((sorted_ids[1:] == sorted_ids[:-1]).any()):
+        raise RelationError("ids must be distinct")
+    slots, hit = _lookup(sorted_ids, values)
+    positions = np.full(values.shape, -1, dtype=np.int64)
+    positions[hit] = order[slots[hit]]
+    return positions
+
+
+def _lookup(sorted_keys: np.ndarray, values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """``(slots, hit)``: each value's slot in ``sorted_keys`` and whether it is there."""
+    if sorted_keys.size == 0:
+        return np.zeros(values.shape, dtype=np.intp), np.zeros(values.shape, dtype=bool)
+    slots = np.searchsorted(sorted_keys, values)
+    slots[slots == sorted_keys.size] = 0
+    return slots, sorted_keys[slots] == values
+
+
+class CSRIndex:
+    """CSR index of one column of a relation.
+
+    ``keys`` holds the sorted distinct values of the indexed column and
+    ``values[offsets[i]:offsets[i + 1]]`` the ascending partners of
+    ``keys[i]``; ``degrees`` is ``np.diff(offsets)`` and ``column`` is the
+    indexed column itself in index order (``np.repeat(keys, degrees)``).
+    Built in one linear pass over the ``(column, values)`` pairs, which must
+    already be sorted lexicographically.  Both arrays are frozen: the dict
+    views and :meth:`Relation.sorted_by_y` hand out slices that alias them.
+    """
+
+    __slots__ = ("column", "values", "keys", "offsets", "degrees", "_index", "_degree_map")
+
+    def __init__(self, column: np.ndarray, values: np.ndarray) -> None:
+        self.column = column
+        self.values = values
+        column.flags.writeable = values.flags.writeable = False
+        if column.size:
+            starts = np.flatnonzero(column[1:] != column[:-1]) + 1
+            self.offsets = np.concatenate(([0], starts, [column.size]))
+        else:
+            self.offsets = np.zeros(1, dtype=np.int64)
+        self.keys = column[self.offsets[:-1]]
+        self.degrees = np.diff(self.offsets)
+        self._index: Optional[Dict[int, np.ndarray]] = None
+        self._degree_map: Optional[Dict[int, int]] = None
+
+    def degrees_of(self, values: Sequence[int]) -> np.ndarray:
+        """Degree of every value (0 for values that are not keys)."""
+        values = np.asarray(values, dtype=np.int64)
+        slots, hit = _lookup(self.keys, values)
+        degrees = np.zeros(values.shape, dtype=np.int64)
+        degrees[hit] = self.degrees[slots[hit]]
+        return degrees
+
+    def neighbors(self, key: int) -> np.ndarray:
+        """Ascending partners of ``key`` (empty array if it is not a key)."""
+        slot = int(np.searchsorted(self.keys, key))
+        if slot == self.keys.size or self.keys[slot] != key:
+            return _EMPTY
+        return self.values[self.offsets[slot] : self.offsets[slot + 1]]
+
+    def index(self) -> Dict[int, np.ndarray]:
+        """``{key: partners}`` dict view (slices of ``values``), built once."""
+        if self._index is None:
+            bounds = self.offsets.tolist()
+            self._index = {
+                key: self.values[lo:hi]
+                for key, lo, hi in zip(self.keys.tolist(), bounds, bounds[1:])
+            }
+        return self._index
+
+    def degree_map(self) -> Dict[int, int]:
+        """``{key: degree}`` dict view, built once."""
+        if self._degree_map is None:
+            self._degree_map = dict(zip(self.keys.tolist(), self.degrees.tolist()))
+        return self._degree_map
+
+
 class Relation:
     """A deduplicated binary relation ``R(x, y)`` over integer values.
 
@@ -71,17 +196,7 @@ class Relation:
         ``pairs`` is already lexicographically sorted and deduplicated.
     """
 
-    __slots__ = (
-        "name",
-        "_data",
-        "_index_x",
-        "_index_y",
-        "_x_values",
-        "_y_values",
-        "_deg_x",
-        "_deg_y",
-        "_ysorted",
-    )
+    __slots__ = ("name", "_data", "_csr_x", "_csr_y")
 
     def __init__(
         self,
@@ -98,16 +213,11 @@ class Relation:
                 f"relation data must be an (n, 2) array, got shape {arr.shape}"
             )
         if not sorted_dedup and len(arr):
-            arr = np.unique(arr, axis=0)
+            arr = np.column_stack(_sorted_pairs(arr[:, 0], arr[:, 1], dedup=True))
         self.name = name
         self._data = arr
-        self._index_x: Optional[Dict[int, np.ndarray]] = None
-        self._index_y: Optional[Dict[int, np.ndarray]] = None
-        self._x_values: Optional[np.ndarray] = None
-        self._y_values: Optional[np.ndarray] = None
-        self._deg_x: Optional[Dict[int, int]] = None
-        self._deg_y: Optional[Dict[int, int]] = None
-        self._ysorted: Optional[Tuple[np.ndarray, np.ndarray]] = None
+        self._csr_x: Optional[CSRIndex] = None
+        self._csr_y: Optional[CSRIndex] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -207,34 +317,34 @@ class Relation:
     # ------------------------------------------------------------------ #
     # Indexes
     # ------------------------------------------------------------------ #
-    def _build_index(self, column: int) -> Dict[int, np.ndarray]:
-        data = self._data
-        if data.shape[0] == 0:
-            return {}
-        keys = data[:, column]
-        values = data[:, 1 - column]
-        order = np.argsort(keys, kind="stable")
-        keys_sorted = keys[order]
-        values_sorted = values[order]
-        unique_keys, starts = np.unique(keys_sorted, return_index=True)
-        index: Dict[int, np.ndarray] = {}
-        boundaries = np.append(starts, keys_sorted.size)
-        for i, key in enumerate(unique_keys):
-            chunk = values_sorted[boundaries[i] : boundaries[i + 1]]
-            index[int(key)] = np.sort(chunk)
-        return index
+    def csr_x(self) -> CSRIndex:
+        """CSR index from every x value to its ascending y partners.
+
+        The data is sorted by ``(x, y)``, so this is a view of its two
+        columns plus one linear boundary scan — no sort.
+        """
+        if self._csr_x is None:
+            data = self.data
+            self._csr_x = CSRIndex(data[:, 0], data[:, 1])
+        return self._csr_x
+
+    def csr_y(self) -> CSRIndex:
+        """CSR index from every y value to its ascending x partners.
+
+        Costs the relation's one ``(y, x)`` sort; ``column`` / ``values``
+        are the probe-side layout of the vectorized light join.
+        """
+        if self._csr_y is None:
+            self._csr_y = CSRIndex(*_sorted_pairs(self._data[:, 1], self._data[:, 0]))
+        return self._csr_y
 
     def index_x(self) -> Dict[int, np.ndarray]:
-        """Index mapping every x value to its sorted array of y neighbours."""
-        if self._index_x is None:
-            self._index_x = self._build_index(0)
-        return self._index_x
+        """``dict`` view of :meth:`csr_x`: x value -> sorted array of y neighbours."""
+        return self.csr_x().index()
 
     def index_y(self) -> Dict[int, np.ndarray]:
-        """Index mapping every y value to its sorted array of x neighbours."""
-        if self._index_y is None:
-            self._index_y = self._build_index(1)
-        return self._index_y
+        """``dict`` view of :meth:`csr_y`: y value -> sorted array of x neighbours."""
+        return self.csr_y().index()
 
     def sorted_by_y(self) -> Tuple[np.ndarray, np.ndarray]:
         """The ``(ys, xs)`` columns sorted by y (built once, cached).
@@ -244,33 +354,24 @@ class Relation:
         contiguous partner range, so the whole expansion is index gathers
         instead of per-tuple dictionary lookups.
         """
-        if self._ysorted is None:
-            order = np.argsort(self._data[:, 1], kind="stable")
-            self._ysorted = (
-                np.ascontiguousarray(self._data[order, 1]),
-                np.ascontiguousarray(self._data[order, 0]),
-            )
-        return self._ysorted
+        index = self.csr_y()
+        return index.column, index.values
 
     def neighbors_x(self, x: int) -> np.ndarray:
         """Sorted y values paired with ``x`` (empty array if none)."""
-        return self.index_x().get(int(x), _EMPTY)
+        return self.csr_x().neighbors(int(x))
 
     def neighbors_y(self, y: int) -> np.ndarray:
         """Sorted x values paired with ``y`` (empty array if none)."""
-        return self.index_y().get(int(y), _EMPTY)
+        return self.csr_y().neighbors(int(y))
 
     def x_values(self) -> np.ndarray:
         """Sorted distinct x values (``dom(x)`` restricted to the relation)."""
-        if self._x_values is None:
-            self._x_values = np.unique(self._data[:, 0]) if len(self) else _EMPTY
-        return self._x_values
+        return self.csr_x().keys
 
     def y_values(self) -> np.ndarray:
         """Sorted distinct y values."""
-        if self._y_values is None:
-            self._y_values = np.unique(self._data[:, 1]) if len(self) else _EMPTY
-        return self._y_values
+        return self.csr_y().keys
 
     def degree_x(self, x: int) -> int:
         """Degree of an x value, i.e. ``|sigma_{x=a} R|``."""
@@ -281,16 +382,12 @@ class Relation:
         return int(self.neighbors_y(y).size)
 
     def degrees_x(self) -> Dict[int, int]:
-        """Mapping from every x value to its degree."""
-        if self._deg_x is None:
-            self._deg_x = {k: int(v.size) for k, v in self.index_x().items()}
-        return self._deg_x
+        """``dict`` view of :meth:`csr_x`: x value -> degree."""
+        return self.csr_x().degree_map()
 
     def degrees_y(self) -> Dict[int, int]:
-        """Mapping from every y value to its degree."""
-        if self._deg_y is None:
-            self._deg_y = {k: int(v.size) for k, v in self.index_y().items()}
-        return self._deg_y
+        """``dict`` view of :meth:`csr_y`: y value -> degree."""
+        return self.csr_y().degree_map()
 
     # ------------------------------------------------------------------ #
     # Algebraic operations
@@ -311,19 +408,17 @@ class Relation:
 
     def restrict_x(self, values: Iterable[int], name: Optional[str] = None) -> "Relation":
         """Return the sub-relation whose x values belong to ``values``."""
-        wanted = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
+        wanted = _as_values(values)
         if wanted.size == 0 or len(self) == 0:
             return Relation.empty(name or self.name)
-        mask = np.isin(self._data[:, 0], wanted)
-        return self.filter_pairs(mask, name=name)
+        return self.filter_pairs(np.isin(self._data[:, 0], wanted), name=name)
 
     def restrict_y(self, values: Iterable[int], name: Optional[str] = None) -> "Relation":
         """Return the sub-relation whose y values belong to ``values``."""
-        wanted = np.asarray(sorted(set(int(v) for v in values)), dtype=np.int64)
+        wanted = _as_values(values)
         if wanted.size == 0 or len(self) == 0:
             return Relation.empty(name or self.name)
-        mask = np.isin(self._data[:, 1], wanted)
-        return self.filter_pairs(mask, name=name)
+        return self.filter_pairs(np.isin(self._data[:, 1], wanted), name=name)
 
     def union(self, other: "Relation", name: Optional[str] = None) -> "Relation":
         """Set union of two relations."""
@@ -394,9 +489,7 @@ class Relation:
         """Compute Table-2-style statistics for this relation."""
         if len(self) == 0:
             return RelationStats(0, 0, 0, 0.0, 0, 0)
-        degrees = np.fromiter(
-            (d for d in self.degrees_x().values()), dtype=np.int64
-        )
+        degrees = self.csr_x().degrees
         return RelationStats(
             num_tuples=len(self),
             num_sets=int(self.x_values().size),
@@ -409,24 +502,24 @@ class Relation:
     def full_join_size(self, other: "Relation") -> int:
         """Size of the full join ``R(x,y) |><| S(z,y)`` before projection.
 
-        Computed in linear time from the per-``y`` degrees of both relations
+        Exact, in linear time from the per-``y`` degrees of both relations
         (the paper computes this during the indexing pass).
         """
-        if len(self) == 0 or len(other) == 0:
-            return 0
-        deg_self = self.degrees_y()
-        deg_other = other.degrees_y()
-        smaller, larger = (
-            (deg_self, deg_other)
-            if len(deg_self) <= len(deg_other)
-            else (deg_other, deg_self)
-        )
-        total = 0
-        for y, d in smaller.items():
-            other_d = larger.get(y)
-            if other_d:
-                total += d * other_d
-        return total
+        return full_join_size([self, other])
+
+    def adjacency_coords(
+        self, row_ids: Sequence[int], col_ids: Sequence[int]
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """``(rows, cols)`` matrix coordinates of the tuples inside ``row_ids`` x ``col_ids``.
+
+        Row ``i`` stands for x value ``row_ids[i]`` and column ``j`` for y
+        value ``col_ids[j]``; ids must be distinct (:func:`position_map`).
+        Tuples with either value outside the id lists are dropped.
+        """
+        rows = position_map(row_ids, self._data[:, 0])
+        cols = position_map(col_ids, self._data[:, 1])
+        keep = (rows >= 0) & (cols >= 0)
+        return rows[keep], cols[keep]
 
     def adjacency_matrix(
         self,
@@ -440,25 +533,37 @@ class Relation:
         tuple is present.  This is the matrix-construction step of
         Algorithm 1 (``M1(x, y) <- R+ adj matrix``).
         """
-        row_index = {int(v): i for i, v in enumerate(row_ids)}
-        col_index = {int(v): i for i, v in enumerate(col_ids)}
-        matrix = np.zeros((len(row_index), len(col_index)), dtype=dtype)
-        if not row_index or not col_index:
-            return matrix
-        idx_x = self.index_x()
-        for x, row in row_index.items():
-            ys = idx_x.get(x)
-            if ys is None:
-                continue
-            for y in ys:
-                col = col_index.get(int(y))
-                if col is not None:
-                    matrix[row, col] = 1
+        rows, cols = self.adjacency_coords(row_ids, col_ids)
+        matrix = np.zeros((len(row_ids), len(col_ids)), dtype=dtype)
+        matrix[rows, cols] = 1
         return matrix
 
     def to_set_dict(self) -> Dict[int, set]:
         """Return the relation as ``{x: set(y)}`` (the set-family view)."""
-        return {x: set(int(v) for v in ys) for x, ys in self.index_x().items()}
+        return {x: set(ys.tolist()) for x, ys in self.index_x().items()}
+
+
+def full_join_size(relations: Sequence[Relation]) -> int:
+    """Exact size of the full join of ``R_i(x_i, y)`` on ``y``, before projection.
+
+    The sum over shared ``y`` values of the product of their degrees.  It is
+    at most the product of the relation sizes, so int64 arithmetic is exact
+    whenever that bound fits; past it the sum runs over Python integers.
+    """
+    if not relations or any(len(rel) == 0 for rel in relations):
+        return 0
+    indexes = [rel.csr_y() for rel in relations]
+    shared = min(indexes, key=lambda index: index.keys.size).keys
+    degrees = [index.degrees_of(shared) for index in indexes]
+    if math.prod(len(rel) for rel in relations) < 2**63:
+        return int(np.prod(degrees, axis=0).sum())
+    return sum(math.prod(row) for row in zip(*(d.tolist() for d in degrees)))
+
+
+def _as_values(values: Iterable[int]) -> np.ndarray:
+    if not isinstance(values, np.ndarray):
+        values = list(values)
+    return np.asarray(values, dtype=np.int64).reshape(-1)
 
 
 _EMPTY = np.empty(0, dtype=np.int64)

@@ -21,8 +21,6 @@ class SetFamily:
 
     def __init__(self, relation: Relation) -> None:
         self._relation = relation
-        self._sets: Optional[Dict[int, np.ndarray]] = None
-        self._inverted: Optional[Dict[int, np.ndarray]] = None
 
     # ------------------------------------------------------------------ #
     # Constructors
@@ -69,9 +67,7 @@ class SetFamily:
 
     def sets(self) -> Dict[int, np.ndarray]:
         """Mapping from set id to its sorted element array."""
-        if self._sets is None:
-            self._sets = self._relation.index_x()
-        return self._sets
+        return self._relation.index_x()
 
     def get(self, set_id: int) -> np.ndarray:
         """Sorted element array of one set (empty array if absent)."""
@@ -83,13 +79,11 @@ class SetFamily:
 
     def sizes(self) -> Dict[int, int]:
         """Mapping from set id to its cardinality."""
-        return {k: int(v.size) for k, v in self.sets().items()}
+        return dict(self._relation.degrees_x())
 
     def inverted_index(self) -> Dict[int, np.ndarray]:
         """Inverted index ``L[b]``: element -> sorted array of set ids."""
-        if self._inverted is None:
-            self._inverted = self._relation.index_y()
-        return self._inverted
+        return self._relation.index_y()
 
     def inverted_list(self, element: int) -> np.ndarray:
         """The inverted list of one element (empty array if absent)."""

@@ -116,7 +116,7 @@ class SemijoinReduce(PhysicalOperator):
     Session-aware: under a :class:`~repro.serve.session.SessionContext` the
     reduced relation list is cached by the input relations' tokens — a warm
     hit returns the *same* ``Relation`` objects, so their lazily built
-    layouts (``sorted_by_y``, the y-indexes, degree arrays) come back warm
+    layouts (the per-column CSR indexes behind ``sorted_by_y``) come back warm
     with them.
     """
 
@@ -273,19 +273,13 @@ class LightHeavyPartition(PhysicalOperator):
     def _counting_partition(state: ExecutionState, delta1: int) -> CountingPartition:
         left, right = state.relations
         delta1 = max(int(delta1), 1)
-        left_deg_y = left.degrees_y()
-        right_deg_y = right.degrees_y()
-        shared = np.asarray(sorted(set(left_deg_y) & set(right_deg_y)), dtype=np.int64)
-        heavy_mask = np.fromiter(
-            (
-                left_deg_y[int(y)] > delta1 and right_deg_y[int(y)] > delta1
-                for y in shared
-            ),
-            count=shared.size,
-            dtype=bool,
-        )
+        left_y = left.csr_y()
+        right_degrees = right.csr_y().degrees_of(left_y.keys)
+        heavy = (left_y.degrees > delta1) & (right_degrees > delta1)
         return CountingPartition(
-            heavy_y=shared[heavy_mask], light_y=shared[~heavy_mask], delta1=delta1
+            heavy_y=left_y.keys[heavy],
+            light_y=left_y.keys[(right_degrees > 0) & ~heavy],
+            delta1=delta1,
         )
 
 

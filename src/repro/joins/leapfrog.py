@@ -85,20 +85,4 @@ def _cartesian_with_prefix(
         yield from _cartesian_with_prefix(prefix + (int(value),), tail)
 
 
-def star_full_join_size(relations: Sequence[Relation]) -> int:
-    """Size of the full star join, computed from per-``y`` degree products."""
-    if not relations or any(len(r) == 0 for r in relations):
-        return 0
-    y_domains = [r.y_values() for r in relations]
-    shared_ys = leapfrog_intersection(y_domains)
-    degree_maps = [r.degrees_y() for r in relations]
-    total = 0
-    for y in shared_ys:
-        product = 1
-        for degrees in degree_maps:
-            product *= degrees.get(int(y), 0)
-        total += product
-    return total
-
-
 _EMPTY = np.empty(0, dtype=np.int64)

@@ -91,32 +91,11 @@ def build_pair_adjacency(
     is 1 iff *every* relation contains ``(group_values[i][r], col_values[j])``.
     This is matrix ``V`` / ``W`` from Section 3.2.
     """
-    col_index = {int(v): j for j, v in enumerate(col_values)}
-    matrix = np.zeros((len(group_values), len(col_index)), dtype=dtype)
-    if not col_index or not group_values:
-        return matrix
-    indexes = [rel.index_x() for rel in relations]
-    for i, group in enumerate(group_values):
-        # Intersect the neighbour lists of the grouped head values.
-        neighbour_sets: List[np.ndarray] = []
-        ok = True
-        for rel_idx, head_value in enumerate(group):
-            ys = indexes[rel_idx].get(int(head_value))
-            if ys is None:
-                ok = False
-                break
-            neighbour_sets.append(ys)
-        if not ok:
-            continue
-        common = neighbour_sets[0]
-        for ys in neighbour_sets[1:]:
-            common = np.intersect1d(common, ys, assume_unique=True)
-            if common.size == 0:
-                break
-        for y in common:
-            j = col_index.get(int(y))
-            if j is not None:
-                matrix[i, j] = 1
+    groups = np.asarray(group_values, dtype=np.int64).reshape(-1, len(relations))
+    matrix = np.ones((groups.shape[0], len(col_values)), dtype=dtype)
+    for relation, heads in zip(relations, groups.T):
+        distinct, rows = np.unique(heads, return_inverse=True)
+        matrix *= relation.adjacency_matrix(distinct, col_values, dtype=dtype)[rows]
     return matrix
 
 

@@ -114,10 +114,8 @@ def heavy_core_mapping(
     (witnesses per head value), column degrees from the right one — the same
     ``DegreeIndex``-backed statistics the optimizer's threshold search uses.
     """
-    left_deg = left_heavy.degrees_x()
-    right_deg = right_heavy.degrees_x()
-    row_degrees = [left_deg.get(int(x), 0) for x in rows]
-    col_degrees = [right_deg.get(int(z), 0) for z in cols]
+    row_degrees = left_heavy.csr_x().degrees_of(rows)
+    col_degrees = right_heavy.csr_x().degrees_of(cols)
     return mapping_from_degrees(row_degrees, col_degrees, inner_dim, target)
 
 

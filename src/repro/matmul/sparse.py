@@ -26,24 +26,10 @@ def build_sparse_adjacency(
     dtype: np.dtype = np.float32,
 ) -> sparse.csr_matrix:
     """Build a CSR adjacency matrix of the relation restricted to given values."""
-    row_index = {int(v): i for i, v in enumerate(row_values)}
-    col_index = {int(v): j for j, v in enumerate(col_values)}
-    rows: List[int] = []
-    cols: List[int] = []
-    if row_index and col_index:
-        idx = relation.index_x()
-        for x, i in row_index.items():
-            ys = idx.get(x)
-            if ys is None:
-                continue
-            for y in ys:
-                j = col_index.get(int(y))
-                if j is not None:
-                    rows.append(i)
-                    cols.append(j)
-    data = np.ones(len(rows), dtype=dtype)
+    rows, cols = relation.adjacency_coords(row_values, col_values)
     return sparse.csr_matrix(
-        (data, (rows, cols)), shape=(len(row_index), len(col_index))
+        (np.ones(rows.size, dtype=dtype), (rows, cols)),
+        shape=(len(row_values), len(col_values)),
     )
 
 

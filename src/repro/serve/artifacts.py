@@ -2,7 +2,7 @@
 
 A :class:`QuerySession <repro.serve.session.QuerySession>` amortises query
 preprocessing by caching *derived artifacts* — semijoin-reduced relation
-lists (whose lazy layouts, ``sorted_by_y`` and the y-indexes, stay warm with
+lists (whose lazy layouts, the per-column CSR indexes, stay warm with
 them), light/heavy partitions, matmul operand matrices, and memoized plan
 results.  All of them live in instances of one structure:
 

@@ -44,6 +44,7 @@ import atexit
 import itertools
 import threading
 import time
+import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace as dc_replace
@@ -439,7 +440,11 @@ class QuerySession:
         self._sharded: Dict[str, ShardedRelation] = {}
         self._shard_versions: Dict[Tuple[str, int], int] = {}
         self._sharding_spec: Optional[ShardingSpec] = None
-        self._router = ShardRouter(self._resolve_sharded)
+        # The router sits on the session, so a bound-method resolver would
+        # make every session a reference cycle that only a full collection
+        # frees; the weak method keeps a closed session plain refcounted.
+        resolve = weakref.WeakMethod(self._resolve_sharded)
+        self._router = ShardRouter(lambda relation: resolve()(relation))
         self._shard_counters: Dict[int, Dict[str, int]] = {}
         # The persistent pools must not outlive the interpreter even when a
         # caller forgets close(): close() is idempotent and atexit-backed

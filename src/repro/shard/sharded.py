@@ -4,9 +4,9 @@ A :class:`ShardedRelation` holds one :class:`~repro.data.relation.Relation`
 per shard of a :class:`~repro.shard.spec.ShardingSpec`, partitioned on the
 ``y`` column (the join/witness attribute).  Shard slices inherit the base
 relation's lexicographic order, so each shard is constructed with
-``sorted_dedup=True`` and builds its own lazy layouts (``sorted_by_y``,
-indexes, degree maps) independently — which is exactly what the serving
-layer caches per shard.
+``sorted_dedup=True`` and builds its own lazy layouts (the per-column CSR
+indexes) independently — which is exactly what the serving layer caches per
+shard.
 
 Set families shard through their backing relation: a sharded family is the
 sharded membership relation, and the similarity/containment joins lower to
@@ -34,8 +34,8 @@ from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
-from repro.data.pairblock import PairBlock, _pack, _pack_layout
-from repro.data.relation import Relation
+from repro.data.pairblock import PairBlock
+from repro.data.relation import Relation, _sorted_pairs
 from repro.shard.spec import ShardingSpec
 
 # One pending delta: ("+"/"-", (n, 2) int64 rows), replayed in order.
@@ -44,19 +44,6 @@ Delta = Tuple[str, np.ndarray]
 # materialisation time (so building a combined view of shards with pending
 # deltas does not force those shards to fold).
 Source = Union[np.ndarray, Relation]
-
-
-def _sorted_rows(data: np.ndarray) -> np.ndarray:
-    """Rows sorted lexicographically; packed-int64 keys when the domain fits."""
-    if data.shape[0] <= 1:
-        return data
-    columns = [data[:, 0], data[:, 1]]
-    layout = _pack_layout([columns])
-    if layout is not None:
-        order = np.argsort(_pack(columns, *layout), kind="stable")
-    else:
-        order = np.lexsort((data[:, 1], data[:, 0]))
-    return data[order]
 
 
 def _restore_relation(data: np.ndarray, name: str) -> Relation:
@@ -116,7 +103,8 @@ class LazyCombinedRelation(Relation):
             if data.shape[0]:
                 arrays.append(np.asarray(data))
         if len(arrays) > 1:
-            merged = _sorted_rows(np.concatenate(arrays))
+            stacked = np.concatenate(arrays)
+            merged = np.column_stack(_sorted_pairs(stacked[:, 0], stacked[:, 1]))
         elif arrays:
             merged = arrays[0]  # a single source is already sorted/deduped
         else:

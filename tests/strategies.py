@@ -8,6 +8,7 @@ relation" covers:
 * **skewed / heavy-hitter** lists — one hot witness with a large fanout, the
   shape the light/heavy partition exists for;
 * **empty** and **single-row** edge cases;
+* **signed** values (negative keys exercise the packed layout's offsets);
 * **huge-domain** values (up to ``2**40``) that overflow the packed-int64
   fast path and force the ``np.unique(axis=0)`` fallback.
 
@@ -30,6 +31,7 @@ Pair = Tuple[int, int]
 # Values deliberately include 0 and a huge outlier range so both the
 # packed-int64-key fast path and the unique(axis=0) fallback are exercised.
 SMALL_VALUES = st.integers(min_value=0, max_value=40)
+SIGNED_VALUES = st.integers(min_value=-25, max_value=25)
 HUGE_VALUES = st.integers(min_value=0, max_value=2**40)
 
 
@@ -74,6 +76,15 @@ def relation_rows(values=SMALL_VALUES, max_size: int = 120):
 def huge_domain_rows(max_size: int = 40):
     """Rows whose values overflow the packed-key fast path."""
     return pair_lists(values=HUGE_VALUES, max_size=max_size)
+
+
+def any_domain_rows(max_size: int = 100):
+    """The canonical mix over small, signed and packed-key-overflowing domains."""
+    return st.one_of(
+        relation_rows(values=SMALL_VALUES, max_size=max_size),
+        relation_rows(values=SIGNED_VALUES, max_size=max_size),
+        huge_domain_rows(),
+    )
 
 
 # --------------------------------------------------------------------------- #

@@ -33,13 +33,13 @@ class TestDegreeIndex:
         assert idx.sum_at_most(2) == pytest.approx(10.0)
         assert idx.total() == pytest.approx(30.0)
 
-    def test_from_degree_map(self):
-        idx = DegreeIndex.from_degree_map({10: 3, 20: 1, 30: 5})
+    def test_unsorted_degrees(self):
+        idx = DegreeIndex(np.array([3, 1, 5]))
         assert idx.num_values() == 3
         assert idx.max_degree() == 5
 
-    def test_from_degree_map_with_weights(self):
-        idx = DegreeIndex.from_degree_map({1: 2, 2: 4}, weights={1: 4.0, 2: 16.0})
+    def test_weights_follow_their_degrees_through_the_sort(self):
+        idx = DegreeIndex(np.array([4, 2]), weights=np.array([16.0, 4.0]))
         assert idx.sum_at_most(2) == pytest.approx(4.0)
         assert idx.sum_at_most(4) == pytest.approx(20.0)
 

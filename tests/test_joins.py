@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.relation import Relation
+from repro.data.relation import Relation, full_join_size
 from repro.joins.generic_join import (
     generic_star_join_project,
     generic_star_join_project_counts,
@@ -22,7 +22,6 @@ from repro.joins.leapfrog import (
     intersection_size,
     leapfrog_intersection,
     star_full_join,
-    star_full_join_size,
 )
 from repro.joins.sort_merge import (
     sort_merge_join,
@@ -160,7 +159,7 @@ class TestLeapfrog:
 
     def test_star_full_join_size(self, tiny_relation, tiny_relation_s):
         rels = [tiny_relation, tiny_relation_s, tiny_relation]
-        assert star_full_join_size(rels) == len(list(star_full_join(rels)))
+        assert full_join_size(rels) == len(list(star_full_join(rels)))
 
     def test_star_full_join_empty_relation(self, tiny_relation):
         assert list(star_full_join([tiny_relation, Relation.empty()])) == []

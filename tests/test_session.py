@@ -9,6 +9,8 @@ estimated-vs-actual feedback loop, and the batched/async entry points.
 from __future__ import annotations
 
 import asyncio
+import gc
+import weakref
 
 import pytest
 from strategies import random_relation, skewed_random_relation
@@ -215,6 +217,25 @@ class TestQuerySession:
             second = session.evaluate(query)
         assert second.from_memo
         assert first.pairs == second.pairs
+
+    def test_closed_session_is_not_cyclic_garbage(self, session_inputs):
+        """Refcounting alone frees a closed session (no full collection needed)."""
+        left, right = session_inputs
+        gc.collect()
+        gc.disable()
+        try:
+            session = QuerySession()
+            session.register(left)
+            session.register(right)
+            result = session.two_path("R", "S")
+            assert len(result.pairs) > 0
+            session.close()
+            assert session.cache_stats()["queries_served"] == 1  # stats outlive close
+            ref = weakref.ref(session)
+            del session, result
+            assert ref() is None
+        finally:
+            gc.enable()
 
     def test_cost_model_observe_blends(self):
         model = MatMulCostModel()
