@@ -1,13 +1,20 @@
 """Shared fixtures and result recording for the benchmark suite.
 
 Every benchmark module regenerates one table or figure of the paper.  Besides
-the pytest-benchmark timings, each module writes the paper-style rows it
+the pytest-benchmark timings, each module can write the paper-style rows it
 produced to ``benchmarks/results/<experiment>.txt`` so the numbers quoted in
 EXPERIMENTS.md can be traced back to a concrete run.
+
+Recording is **opt-in**: pass ``--record-results`` (or set
+``REPRO_BENCH_RECORD=1``).  A plain ``pytest`` run — the tier-1 command
+collects this directory too — formats and asserts exactly the same rows but
+writes nothing, so it leaves ``benchmarks/results/`` (tracked files, and the
+ledger the regression gate reads) untouched.
 """
 
 from __future__ import annotations
 
+import os
 import sys
 from pathlib import Path
 from typing import Mapping, Sequence
@@ -23,33 +30,39 @@ RESULTS_DIR = Path(__file__).parent / "results"
 
 
 @pytest.fixture(scope="session")
-def results_dir() -> Path:
-    RESULTS_DIR.mkdir(exist_ok=True)
-    return RESULTS_DIR
+def recording(request) -> bool:
+    """Whether this run may write under ``benchmarks/results/``."""
+    return bool(
+        request.config.getoption("--record-results", default=False)
+        or os.environ.get("REPRO_BENCH_RECORD") == "1"
+    )
 
 
 @pytest.fixture(scope="session")
-def record_json(results_dir):
+def record_json(recording):
     """Merge one micro-benchmark's headline metrics into BENCH_micro.json."""
 
     def _record(experiment: str, metrics: Mapping[str, object]):
+        if not recording:
+            return None
         from repro.bench.report import record_bench_json
 
-        return record_bench_json(experiment, metrics, results_dir)
+        return record_bench_json(experiment, metrics, RESULTS_DIR)
 
     return _record
 
 
 @pytest.fixture(scope="session")
-def record_rows(results_dir):
-    """Write a list of dict rows (one experiment's output) to a result file."""
+def record_rows(recording):
+    """Format a list of dict rows (one experiment's output); write it when recording."""
 
     def _record(experiment: str, rows: Sequence[Mapping[str, object]], title: str = "") -> str:
         from repro.bench.report import format_table
 
         text = format_table(list(rows), title=title or experiment)
-        path = results_dir / f"{experiment}.txt"
-        path.write_text(text + "\n", encoding="utf-8")
+        if recording:
+            RESULTS_DIR.mkdir(exist_ok=True)
+            (RESULTS_DIR / f"{experiment}.txt").write_text(text + "\n", encoding="utf-8")
         return text
 
     return _record

@@ -328,16 +328,21 @@ def headline_metrics(extract_rows, shard_rows) -> Dict[str, object]:
     }
 
 
-def record_results(extract_rows, shard_rows) -> str:
-    """Write both tables to the results file and return the rendered text."""
+def format_results(extract_rows, shard_rows) -> str:
+    """Both tables as rendered text."""
     from repro.bench.report import format_table
 
-    text = "\n\n".join([
+    return "\n\n".join([
         format_table(extract_rows,
                      title="Microbenchmark: full-scan vs tiled extraction"),
         format_table(shard_rows,
                      title="Microbenchmark: warm sharded re-query, result cache off/on"),
     ])
+
+
+def record_results(extract_rows, shard_rows) -> str:
+    """Write both tables to the results file and return the rendered text."""
+    text = format_results(extract_rows, shard_rows)
     RESULTS_PATH.parent.mkdir(exist_ok=True)
     RESULTS_PATH.write_text(text + "\n", encoding="utf-8")
     return text

@@ -11,8 +11,8 @@ Measures what the serving layer amortises on a repeated two-path query:
 * **memo** — the plan/result memo short-circuits the repeated query.
 
 Two 10^5-tuple workloads are reported: a dense-core instance whose cost is
-dominated by cacheable preprocessing (the acceptance workload: warm must be
->= 3x cold), and an output-bound instance where the per-query result work
+dominated by cacheable preprocessing (the acceptance workload: warm must
+take at most 25 ms and less than cold), and an output-bound instance where the per-query result work
 dominates — caching honestly helps less there, because the light expansion
 and the final dedup always re-run for a fresh result.
 

@@ -23,7 +23,7 @@ state the session caches per shard).  For each shard count it measures:
   mutated shard recomputes).
 
 The acceptance bar (``test_micro_shard_scaling.py``) gates the update path:
-re-serving after a single-shard update must be at least **1.5x** faster than
+re-serving after a single-shard update must take at most 5 ms and less than
 a cold unsharded session, with the per-shard cache counters proving that
 every sibling shard stayed warm.  ``main()`` records the table to
 ``benchmarks/results/micro_shard_scaling.txt``.

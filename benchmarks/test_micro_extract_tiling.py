@@ -1,8 +1,9 @@
 """Bench-runner wiring for the extraction-tiling microbenchmark.
 
 Runs :mod:`micro_extract_tiling` under the pytest-benchmark harness,
-records the tables to ``benchmarks/results/micro_extract_tiling.txt`` plus
-the machine-readable ``BENCH_micro.json`` entry, and asserts the acceptance
+formats the tables (``benchmarks/results/micro_extract_tiling.txt`` plus
+the machine-readable ``BENCH_micro.json`` entry are written only when
+recording — ``--record-results``), and asserts the acceptance
 bars:
 
 * tiled extraction is at least **2x** faster than the one-shot full scan on
@@ -26,13 +27,15 @@ from repro.joins.hash_join import hash_join_project
 from repro.matmul.tiling import choose_tile_rows
 
 
-def test_micro_extract_tiling_tables(benchmark, record_json):
+def test_micro_extract_tiling_tables(benchmark, record_json, recording):
     def run_both():
         return micro_extract_tiling.run_extract_rows(), \
             micro_extract_tiling.run_shard_rows()
 
     extract_rows, shard_rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
-    print("\n" + micro_extract_tiling.record_results(extract_rows, shard_rows))
+    render = (micro_extract_tiling.record_results if recording
+              else micro_extract_tiling.format_results)
+    print("\n" + render(extract_rows, shard_rows))
     metrics = micro_extract_tiling.headline_metrics(extract_rows, shard_rows)
     record_json("micro_extract_tiling", metrics)
 

@@ -1,17 +1,22 @@
 """Bench-runner wiring for the shard-scaling microbenchmark.
 
-Runs :mod:`micro_shard_scaling` under the pytest-benchmark harness, records
-the paper-style table to ``benchmarks/results/micro_shard_scaling.txt`` and
-asserts the acceptance bar: after ``update_shard`` on one shard, re-serving
-the previously-warm query is at least 1.5x faster than a cold unsharded
-session on the 10^5-tuple skewed workload, and the per-shard cache counters
-prove every sibling shard stayed warm.
+Runs :mod:`micro_shard_scaling` under the pytest-benchmark harness, formats
+the paper-style table (written to ``benchmarks/results/`` only when
+recording) and asserts the acceptance bar: after ``update_shard`` on one
+shard, re-serving the previously-warm query on the 10^5-tuple skewed
+workload takes at most 5 ms and less than a cold unsharded session, and the
+per-shard cache counters prove every sibling shard stayed warm.
 
-The ratio's base is the cold unsharded session, which array-native relation
-indexes cut from ~55 ms to ~7 ms in-suite while the re-query went from ~7 ms
-to ~3.5 ms (one shard's pipeline plus the cross-shard dedup-merge, which
-index caching cannot shrink).  In absolute terms the bar got tighter: 3x of
-55 ms let the re-query take 18 ms, 1.5x of 7 ms lets it take under 5 ms.
+The bar used to be the ratio ``requery_speedup_vs_cold >= 1.5`` (3x before
+array-native relation indexes cut its base, the cold unsharded session, from
+~55 ms to ~7 ms).  A ratio over cold work falls every time cold work gets
+faster, so the bar is stated on the re-query in absolute time instead.
+Measured in-suite at 8 shards (cold unsharded / re-query, ms): parent commit
+7.4-9.1 / 3.4-3.7, i.e. the ratio allowed 4.9-6.1 ms; this change
+7.1-9.4 / 3.9-4.2 (one shard's pipeline plus the cross-shard dedup-merge of
+eight sorted 10^4-row blocks, where the parent's stable argsort exploited the
+sorted runs and a plain sort cannot: 1.1 -> 1.6 ms).  5 ms is the tight end
+of what the ratio allowed.
 """
 
 import micro_shard_scaling
@@ -30,7 +35,8 @@ def test_micro_shard_scaling_table(benchmark, record_rows, record_json):
     acceptance = by_shards[micro_shard_scaling.ACCEPTANCE_SHARDS]
     assert acceptance["tuples"] >= 200_000, acceptance
     # The update path: one shard recomputes, siblings re-serve from cache.
-    assert acceptance["requery_speedup_vs_cold"] >= 1.5, acceptance
+    assert acceptance["requery_seconds"] <= 0.005, acceptance
+    assert acceptance["requery_seconds"] < by_shards[1]["cold_seconds"], acceptance
     assert acceptance["siblings_warm"], acceptance
     # Sharding must not change the answer anywhere in the sweep.
     assert len({row["output_pairs"] for row in rows}) == 1

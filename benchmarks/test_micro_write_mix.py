@@ -1,16 +1,19 @@
 """Bench-runner wiring for the read/write-mix microbenchmark.
 
-Runs :mod:`micro_write_mix` under the pytest-benchmark harness, records the
-table to ``benchmarks/results/micro_write_mix.txt`` plus the
-``BENCH_micro.json`` entry, and asserts the acceptance bar: on the 95/5
-Zipf read/write schedule, serving through delta appends is at least **2x**
-faster than re-registering the grown relation on every write (the module
+Runs :mod:`micro_write_mix` under the pytest-benchmark harness, formats the
+table (written to ``benchmarks/results/``, with the ``BENCH_micro.json``
+entry, only when recording) and asserts the acceptance bar: on the 95/5 Zipf
+read/write schedule, serving through delta appends takes at most **46 ms**
+and less than re-registering the grown relation on every write (the module
 itself asserts both strategies serve identical pair sets).
 
-The ratio's base is the re-register loop, which array-native relation
-indexes cut from ~230 ms to ~92 ms in-suite while the delta loop went from
-~42 ms to ~29 ms.  In absolute terms the bar got tighter: 3x of 230 ms let
-the delta loop take 77 ms, 2x of 92 ms lets it take 46 ms.
+The bar used to be the ratio ``write_mix_speedup >= 2.0`` (3x before
+array-native relation indexes cut its base, the re-register loop, from
+~230 ms to ~92 ms).  A ratio over cold work falls every time cold work gets
+faster, so the bar is stated on the delta loop in absolute time instead.
+Measured in-suite (re-register / delta, ms): parent commit 92.9-97.3 /
+27.5-28.3, i.e. the ratio allowed 46 ms; this change 92.5-95.1 / 28.1-29.0.
+46 ms is exactly what the ratio allowed, 1.6x above the measured loop.
 """
 
 import micro_write_mix
@@ -34,8 +37,10 @@ def test_micro_write_mix_table(benchmark, record_rows, record_json):
     assert by_path["delta"]["writes"] >= 4
     # 95/5 read/write mix: reads dominate the schedule.
     assert by_path["delta"]["reads"] >= 10 * by_path["delta"]["writes"]
-    # Acceptance: the streaming write path wins the whole serving loop >= 2x.
-    assert metrics["write_mix_speedup"] >= 2.0, metrics
+    # Acceptance: the streaming write path serves the whole loop in 46 ms
+    # and beats re-registering.
+    assert metrics["delta_seconds"] <= 0.046, metrics
+    assert metrics["delta_seconds"] < metrics["baseline_seconds"], metrics
 
 
 def test_write_mix_batches_are_deterministic():

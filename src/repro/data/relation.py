@@ -28,7 +28,7 @@ from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Sequence, 
 
 import numpy as np
 
-from repro.data.pairblock import _pack, _pack_layout
+from repro.data.pairblock import KeyLayout, run_starts
 
 Pair = Tuple[int, int]
 
@@ -70,13 +70,14 @@ def _sorted_pairs(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The two columns ordered lexicographically by ``(major, minor)``.
 
-    One ``np.sort`` over packed int64 keys (the :class:`PairBlock` layout)
-    whenever the two value ranges fit a single key; ``np.lexsort`` only when
-    they overflow it.  ``dedup`` also drops repeated rows.
+    One ``np.sort`` over packed int64 keys (the blocks'
+    :class:`~repro.data.pairblock.KeyLayout`) whenever the two value ranges
+    fit a single key; ``np.lexsort`` only when they overflow it.  ``dedup``
+    also drops repeated rows.
     """
     if major.size <= 1:
         return major, minor
-    layout = _pack_layout([(major, minor)])
+    layout = KeyLayout.for_columns([(major, minor)])
     if layout is None:
         order = np.lexsort((minor, major))
         major, minor = major[order], minor[order]
@@ -85,15 +86,11 @@ def _sorted_pairs(
             keep[1:] = (major[1:] != major[:-1]) | (minor[1:] != minor[:-1])
             major, minor = major[keep], minor[keep]
         return major, minor
-    mins, strides = layout
-    keys = _pack((major, minor), mins, strides)
+    keys = layout.pack((major, minor))
     keys.sort()
     if dedup:
-        keep = np.ones(keys.size, dtype=bool)
-        keep[1:] = keys[1:] != keys[:-1]
-        keys = keys[keep]
-    high, low = np.divmod(keys, strides[0])
-    return high + mins[0], low + mins[1]
+        keys = keys[run_starts(keys)]
+    return layout.unpack(keys)
 
 
 def position_map(ids: Sequence[int], values: np.ndarray) -> np.ndarray:
@@ -150,13 +147,22 @@ class CSRIndex:
         self._index: Optional[Dict[int, np.ndarray]] = None
         self._degree_map: Optional[Dict[int, int]] = None
 
-    def degrees_of(self, values: Sequence[int]) -> np.ndarray:
-        """Degree of every value (0 for values that are not keys)."""
+    def ranges_of(self, values: Sequence[int]) -> Tuple[np.ndarray, np.ndarray]:
+        """``(starts, degrees)``: every value's partner range in ``values``.
+
+        ``self.values[start:start + degree]`` are the value's partners;
+        the degree is 0 for values that are not keys.  One ``searchsorted``
+        over the distinct keys.
+        """
         values = np.asarray(values, dtype=np.int64)
         slots, hit = _lookup(self.keys, values)
         degrees = np.zeros(values.shape, dtype=np.int64)
         degrees[hit] = self.degrees[slots[hit]]
-        return degrees
+        return self.offsets[slots], degrees
+
+    def degrees_of(self, values: Sequence[int]) -> np.ndarray:
+        """Degree of every value (0 for values that are not keys)."""
+        return self.ranges_of(values)[1]
 
     def neighbors(self, key: int) -> np.ndarray:
         """Ascending partners of ``key`` (empty array if it is not a key)."""
@@ -558,6 +564,15 @@ def full_join_size(relations: Sequence[Relation]) -> int:
     if math.prod(len(rel) for rel in relations) < 2**63:
         return int(np.prod(degrees, axis=0).sum())
     return sum(math.prod(row) for row in zip(*(d.tolist() for d in degrees)))
+
+
+def head_layout(relations: Sequence[Relation]) -> Optional[KeyLayout]:
+    """Key layout of the head tuples ``(x_1, ..., x_k)`` of non-empty relations.
+
+    Rows are sorted by ``x``, so each column's range is its first and last
+    row — no scan.  ``None`` when the ranges do not fit one key.
+    """
+    return KeyLayout.for_ranges([(rel.xs[0], rel.xs[-1]) for rel in relations])
 
 
 def _as_values(values: Iterable[int]) -> np.ndarray:

@@ -13,9 +13,11 @@ Results flow between operators as columnar
 :class:`~repro.data.pairblock.PairBlock` /
 :class:`~repro.data.pairblock.CountedPairBlock` instances: the light join is
 a vectorized ``searchsorted`` probe with index gathers, the heavy join reads
-its block straight off the product's non-zero coordinates, and the final
-dedup-merge is one packed-key ``np.unique`` (with ``np.add.at`` count
-aggregation under MODE_COUNTS).  Every operator also records
+its block straight off the product's non-zero coordinates — both emit packed
+int64 keys under the execution's one :class:`~repro.data.pairblock.KeyLayout`
+— and the final dedup-merge is one plain sort of the concatenated keys with
+a neighbour compare (``reduceat`` count aggregation under MODE_COUNTS) plus
+the single decode back to columns.  Every operator also records
 ``memory_in_bytes`` / ``memory_out_bytes`` so ``explain()`` shows where the
 memory goes.
 """
@@ -23,14 +25,14 @@ memory goes.
 from __future__ import annotations
 
 import time
-from typing import Any, Callable, Dict, List, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.optimizer import OptimizerDecision
 from repro.core.partitioning import partition_star, partition_two_path
-from repro.data.pairblock import PairBlock
-from repro.data.relation import Relation
+from repro.data.pairblock import KeyLayout, PairBlock
+from repro.data.relation import Relation, head_layout
 from repro.exec.state import (
     MODE_COUNTS,
     MODE_PAIRS,
@@ -45,7 +47,7 @@ from repro.joins.baseline import (
     combinatorial_two_path_block,
     combinatorial_two_path_counted,
     counted_probe_block,
-    deduped_probe_block,
+    probe_pairs_block,
     star_expansion_block,
 )
 from repro.matmul.mapping import heavy_core_mapping
@@ -156,6 +158,8 @@ class SemijoinReduce(PhysicalOperator):
         self.record_memory(in_bytes, _relation_bytes(reduced))
         if any(len(r) == 0 for r in reduced):
             state.finish_empty()
+        else:
+            state.layout = head_layout(reduced)
 
     @staticmethod
     def _reduce(relations: List[Relation], mode: str) -> List[Relation]:
@@ -337,15 +341,15 @@ class CombinatorialLight(PhysicalOperator):
         partition = state.partition
         left, right = state.relations
         cores = state.config.cores
-        tasks: List[Tuple[Relation, Relation, bool]] = []
+        tasks: List[Tuple[Relation, Relation, bool, Optional[KeyLayout]]] = []
         if len(partition.r_light):
-            right.sorted_by_y()  # build the probe layout once, outside the pool
+            right.csr_y()  # build the probe index once, outside the pool
             for chunk in split_relation(partition.r_light, cores):
-                tasks.append((chunk, right, False))
+                tasks.append((chunk, right, False, state.layout))
         if len(partition.s_light):
-            left.sorted_by_y()
+            left.csr_y()
             for chunk in split_relation(partition.s_light, cores):
-                tasks.append((chunk, left, True))
+                tasks.append((chunk, left, True, state.layout))
         if tasks:
             # A session brings its own persistent pool; one-shot evaluation
             # spins a throwaway executor up as before.
@@ -355,8 +359,8 @@ class CombinatorialLight(PhysicalOperator):
                 else ParallelExecutor(cores=cores)
             )
             blocks = executor.map(_probe_chunk, tasks)
-            # Worker blocks merge with one concat; a single packed-key
-            # unique replaces the old per-chunk set unions.
+            # The R-side and S-side expansions arrive as packed keys under
+            # the execution's one layout: one concat, one sort.
             state.light_block = PairBlock.concat_all(blocks).dedup()
         self.detail["light_pairs"] = len(state.light_block)
 
@@ -367,7 +371,7 @@ class CombinatorialLight(PhysicalOperator):
         # Chunked expansion: peak memory tracks the distinct output, not the
         # raw witness count (same machinery as the combinatorial baseline).
         state.light_counted = counted_probe_block(
-            left.xs[light_mask], left.ys[light_mask], right
+            left.xs[light_mask], left.ys[light_mask], right, layout=state.layout
         )
         self.detail["light_pairs"] = len(state.light_counted)
 
@@ -545,6 +549,7 @@ class MatMulHeavy(PhysicalOperator):
             cores=state.config.cores, operands=operands,
             tile_rows=state.config.extract_tile_rows, extract_stats=extract_stats,
             extract_mode=extract_mode, mapping=mapping, density_hint=density_hint,
+            layout=state.layout,
         )
         if cache_status is not None:
             self.detail["cache"] = cache_status
@@ -601,6 +606,7 @@ class MatMulHeavy(PhysicalOperator):
             cores=state.config.cores, operands=operands,
             tile_rows=state.config.extract_tile_rows, extract_stats=extract_stats,
             extract_mode=extract_mode, mapping=mapping, density_hint=density_hint,
+            layout=state.layout,
         )
         if cache_status is not None:
             self.detail["cache"] = cache_status
@@ -677,58 +683,61 @@ class MatMulHeavy(PhysicalOperator):
 class DedupMerge(PhysicalOperator):
     """Merge the light and heavy outputs, deduplicating across the two.
 
-    One columnar pass: concatenate the two phase blocks and run a single
-    packed-key ``np.unique``.  Under MODE_COUNTS the per-pair witness counts
-    are aggregated with ``np.add.at`` over the packed keys (the light and
-    heavy witness populations are disjoint, so the sums are exact; counts are
-    int64 end-to-end thanks to the float64 widening guard in the matmul
-    layer).
+    Both phases hand over packed keys under the execution's one layout, so
+    the merge is one key concatenation, one plain sort with a neighbour
+    compare, and the pipeline's one decode back to columns.  Under
+    MODE_COUNTS the witness counts ride in the low bits of the sort keys and
+    are summed per run with ``np.add.reduceat`` (the light and heavy witness
+    populations are disjoint, so the sums are exact; counts are int64
+    end-to-end thanks to the float64 widening guard in the matmul layer).
     """
 
     name = "dedup_merge"
 
     def run(self, state: ExecutionState) -> None:
-        if state.mode == MODE_COUNTS:
-            light, heavy = state.light_counted, state.heavy_counted
-            # Either phase may be empty (wcoj strategy, empty residual); its
-            # survivor is already aggregated, so skip the re-sort.
-            if len(heavy) == 0:
-                merged = light if light.deduped else light.dedup(reduce="sum")
-            elif len(light) == 0:
-                merged = heavy if heavy.deduped else heavy.dedup(reduce="sum")
-            else:
-                merged = light.concat(heavy).dedup(reduce="sum")
+        counting = state.mode == MODE_COUNTS
+        light, heavy = (
+            (state.light_counted, state.heavy_counted) if counting
+            else (state.light_block, state.heavy_block)
+        )
+        # Either phase may be empty (wcoj strategy, empty residual).  A lone
+        # light block is already canonical; a lone heavy block holds distinct
+        # cells in whatever order its kernel emitted them, so it still goes
+        # through dedup(), which returns at once when that order is sorted.
+        if len(heavy) == 0:
+            merged = light if light.deduped else light.dedup()
+        elif len(light) == 0:
+            merged = heavy.dedup()
+        else:
+            merged = light.concat(heavy).dedup()
+        # The result leaves the pipeline as columns.  Decode here, inside
+        # the operator, so the cost is paid (and timed) by the query rather
+        # than by whoever first reads the block.
+        merged = merged.materialize()
+        if counting:
             state.result_counted = merged
             state.result_block = merged.pairs_block()
-            self.record_memory(light.nbytes + heavy.nbytes, merged.nbytes)
         else:
-            light, heavy = state.light_block, state.heavy_block
-            if len(heavy) == 0:
-                merged = light if light.deduped else light.dedup()
-            elif len(light) == 0:
-                merged = heavy if heavy.deduped else heavy.dedup()
-            else:
-                merged = light.concat(heavy).dedup()
             state.result_block = merged
             # Both phase blocks are deduplicated, so the shrink is the
             # cross-phase overlap.
             self.detail["overlap"] = len(light) + len(heavy) - len(merged)
-            self.record_memory(light.nbytes + heavy.nbytes, merged.nbytes)
+        self.record_memory(light.nbytes + heavy.nbytes, merged.nbytes)
         self.detail["output_size"] = state.output_size
 
 
 # --------------------------------------------------------------------------- #
 # Shared helpers
 # --------------------------------------------------------------------------- #
-def _probe_chunk(args: Tuple[Relation, Relation, bool]) -> PairBlock:
+def _probe_chunk(args: Tuple[Relation, Relation, bool, Optional[KeyLayout]]) -> PairBlock:
     """Worker task: chunked vectorized probe of one relation slice.
 
-    Each worker returns a deduplicated block whose construction never holds
-    more than one expansion chunk of raw rows — peak memory per worker is
-    output-sensitive, as the old set-based probe was.
+    Each worker returns its raw expansion, or — when that exceeds one
+    expansion chunk — the concatenated distinct rows of its chunks, so its
+    construction never holds more than one chunk of raw rows.
     """
-    chunk, other, flip = args
-    return deduped_probe_block(chunk.xs, chunk.ys, other, flip=flip)
+    chunk, other, flip, layout = args
+    return probe_pairs_block(chunk.xs, chunk.ys, other, flip=flip, layout=layout)
 
 
 def _group_matrix(
@@ -770,9 +779,8 @@ def _group_matrix(
             np.zeros((0, heavy_y.size), dtype=np.float32),
         )
 
-    all_combos = np.concatenate(combo_blocks, axis=0)
     all_columns = np.concatenate(column_blocks)
-    unique_rows, inverse = np.unique(all_combos, axis=0, return_inverse=True)
-    matrix = np.zeros((unique_rows.shape[0], heavy_y.size), dtype=np.float32)
-    matrix[inverse.reshape(-1), all_columns] = 1.0
-    return unique_rows, matrix
+    distinct, rows = PairBlock.from_array(np.concatenate(combo_blocks, axis=0)).ranked()
+    matrix = np.zeros((len(distinct), heavy_y.size), dtype=np.float32)
+    matrix[rows, all_columns] = 1.0
+    return distinct.as_array(), matrix

@@ -2,9 +2,11 @@
 
 A :class:`~repro.plan.planner.PhysicalPlan` owns one :class:`ExecutionState`
 per execution; each operator reads the fields earlier operators populated and
-writes its own.  Results move between operators exclusively as columnar
-blocks (:class:`~repro.data.pairblock.PairBlock`, and
-:class:`~repro.data.pairblock.CountedPairBlock` under MODE_COUNTS) — Python
+writes its own.  Results move between operators exclusively as blocks
+(:class:`~repro.data.pairblock.PairBlock`, and
+:class:`~repro.data.pairblock.CountedPairBlock` under MODE_COUNTS; packed
+keys under :attr:`ExecutionState.layout` between the phases, columns once
+``DedupMerge`` has run) — Python
 sets and dicts exist only behind the lazy boundary properties
 (:attr:`ExecutionState.pairs`, :attr:`ExecutionState.counts`, ...) that the
 engines, the CLI and the legacy result objects
@@ -21,7 +23,7 @@ import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.core.optimizer import OptimizerDecision
-from repro.data.pairblock import CountedPairBlock, PairBlock
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock
 from repro.data.relation import Relation
 
 HeadTuple = Tuple[int, ...]
@@ -62,6 +64,11 @@ class ExecutionState:
     # Shard id when this state belongs to one shard's subplan of a sharded
     # execution (labels the subplan's explanation); None when unsharded.
     shard: Optional[int] = None
+
+    # Populated by SemijoinReduce: the one packed-key layout of this
+    # execution's head tuples, shared by every block the phases exchange
+    # (None when the head ranges do not fit a key; blocks then stay columns).
+    layout: Optional[KeyLayout] = None
 
     # Populated by LightHeavyPartition.
     decision: Optional[OptimizerDecision] = None

@@ -8,11 +8,12 @@ multiplication.  This is the strongest baseline the paper compares MMJoin
 against (labelled ``Non-MMJoin`` in every figure).
 
 The hot path is columnar: :func:`probe_pairs_block` expands probe tuples
-against the other relation's y-sorted layout with ``searchsorted`` + index
-gathers into preallocated arrays (no per-tuple Python), and the block-native
+against the other relation's y-index with one ``searchsorted`` + index
+gathers (no per-tuple Python), emitting packed int64 keys when given the
+query's :class:`~repro.data.pairblock.KeyLayout`, and the block-native
 variants (:func:`combinatorial_two_path_block`,
 :func:`combinatorial_two_path_counted`, :func:`combinatorial_star_block`)
-deduplicate with one packed-key ``np.unique`` over the resulting
+deduplicate with one plain sort of the packed keys of the resulting
 :class:`~repro.data.pairblock.PairBlock`.  The set-returning public functions
 are thin boundary wrappers kept for the baseline engines and the ablation
 benchmarks; the legacy per-x :class:`~repro.joins.project.Deduplicator` loop
@@ -22,12 +23,12 @@ Figure 8 ablation isolates.
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
-from repro.data.pairblock import CountedPairBlock, PairBlock
-from repro.data.relation import Relation
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock, run_starts
+from repro.data.relation import Relation, head_layout
 from repro.errors import check_deadline
 from repro.joins.leapfrog import leapfrog_intersection
 from repro.joins.project import Deduplicator
@@ -42,32 +43,26 @@ Pair = Tuple[int, int]
 EXPANSION_CHUNK_ROWS = 1 << 22
 
 
-def _probe_slices(
-    probe_ys: np.ndarray, other: Relation, chunk_rows: int
-) -> List[slice]:
+def _probe_slices(counts: np.ndarray, chunk_rows: int) -> List[slice]:
     """Split probe tuples into slices whose expansions stay under chunk_rows.
 
-    A single probe tuple always forms a valid slice even when its own
-    expansion exceeds the cap (it cannot be split further).
+    ``counts`` holds each probe tuple's expansion size.  A single probe
+    tuple always forms a valid slice even when its own expansion exceeds the
+    cap (it cannot be split further).
     """
-    if probe_ys.size == 0:
+    if counts.size == 0:
         return []
-    other_ys, _ = other.sorted_by_y()
-    counts = (
-        np.searchsorted(other_ys, probe_ys, side="right")
-        - np.searchsorted(other_ys, probe_ys, side="left")
-    )
     cum = np.cumsum(counts)
     if int(cum[-1]) <= chunk_rows:
-        return [slice(0, probe_ys.size)]
+        return [slice(0, counts.size)]
     slices: List[slice] = []
     start = 0
     consumed = 0
-    while start < probe_ys.size:
+    while start < counts.size:
         # Last probe whose cumulative expansion still fits under the cap;
         # the max() guard guarantees progress when a single probe exceeds it.
         stop = int(np.searchsorted(cum, consumed + chunk_rows, side="right"))
-        stop = min(max(stop, start + 1), probe_ys.size)
+        stop = min(max(stop, start + 1), counts.size)
         slices.append(slice(start, stop))
         consumed = int(cum[stop - 1])
         start = stop
@@ -77,72 +72,97 @@ def _probe_slices(
 # --------------------------------------------------------------------------- #
 # Columnar expansion primitives
 # --------------------------------------------------------------------------- #
+def _expand(
+    probe_xs: np.ndarray,
+    lo: np.ndarray,
+    counts: np.ndarray,
+    partners: np.ndarray,
+    flip: bool,
+    layout: Optional[KeyLayout],
+) -> PairBlock:
+    """Raw expansion: probe ``i`` against ``partners[lo[i]:lo[i] + counts[i]]``.
+
+    One ragged-range gather.  Under a layout the probe and partner values
+    are turned into their key fields first (both are far shorter than the
+    expansion) and the block is born in key form.
+    """
+    hit = counts > 0
+    if not hit.any():
+        return PairBlock.empty(2)
+    xs, lo, counts = probe_xs[hit], lo[hit], counts[hit]
+    probe_col, partner_col = (1, 0) if flip else (0, 1)
+    if layout is not None:
+        xs = layout.column_key(probe_col, xs)
+        partners = layout.column_key(partner_col, partners)
+    starts = np.cumsum(counts) - counts
+    gather = np.arange(int(counts.sum()), dtype=np.int64) + np.repeat(lo - starts, counts)
+    out = partners[gather]
+    if layout is not None:
+        out |= np.repeat(xs, counts)
+        return PairBlock.from_keys(out, layout)
+    columns = (np.repeat(xs, counts), out)
+    return PairBlock(columns[::-1] if flip else columns)
+
+
+def _probe_chunks(
+    probe_xs: np.ndarray,
+    probe_ys: np.ndarray,
+    other: Relation,
+    flip: bool,
+    layout: Optional[KeyLayout],
+    chunk_rows: int,
+) -> Iterator[Tuple[PairBlock, bool]]:
+    """Yield ``(raw expansion, chunked)`` per slice of at most ``chunk_rows`` rows.
+
+    One ``searchsorted`` over ``other``'s distinct y keys serves both the
+    slicing and the expansion.  ``chunked`` says the probe did not fit one
+    slice: the consumer must then reduce each expansion to its distinct rows
+    before pulling the next, which is what keeps peak memory tracking the
+    output instead of the raw witness count.
+    """
+    probe_xs = np.asarray(probe_xs, dtype=np.int64)
+    probe_ys = np.asarray(probe_ys, dtype=np.int64)
+    if probe_xs.size == 0 or len(other) == 0:
+        return
+    index = other.csr_y()
+    lo, counts = index.ranges_of(probe_ys)
+    slices = _probe_slices(counts, chunk_rows)
+    for sl in slices:
+        # Cooperative cancellation point: each expansion chunk is the unit of
+        # deadline granularity for the combinatorial light path.
+        check_deadline("expand.chunk")
+        yield (
+            _expand(probe_xs[sl], lo[sl], counts[sl], index.values, flip, layout),
+            len(slices) > 1,
+        )
+
+
 def probe_pairs_block(
     probe_xs: np.ndarray,
     probe_ys: np.ndarray,
     other: Relation,
     flip: bool = False,
+    layout: Optional[KeyLayout] = None,
+    chunk_rows: int = EXPANSION_CHUNK_ROWS,
 ) -> PairBlock:
     """Expand probe tuples ``(x, y)`` against ``other``'s y-partners.
 
     For every probe tuple the partners ``z`` with ``(z, y) in other`` are
-    located via ``searchsorted`` over ``other``'s cached y-sorted columns and
-    gathered with one ragged-range index expression — the per-tuple Python
-    loop of the old light join reduced to a handful of vectorized NumPy
-    calls.  Rows are ``(x, z)``, or ``(z, x)`` when ``flip`` is set (probing
-    from the S side of the two-path query).  The result may contain
-    duplicate rows; deduplication happens once, downstream.
+    located in ``other``'s y-index and gathered with one ragged-range index
+    expression — no per-tuple Python.  Rows are ``(x, z)``, or ``(z, x)``
+    when ``flip`` is set (probing from the S side of the two-path query);
+    with a ``layout`` (which must cover both value ranges) they are emitted
+    as packed keys.  The result may contain duplicate rows — deduplication
+    happens once, downstream — except that an expansion larger than
+    ``chunk_rows`` is built in chunks, each reduced to its distinct rows
+    before the next.
     """
-    probe_xs = np.asarray(probe_xs, dtype=np.int64)
-    probe_ys = np.asarray(probe_ys, dtype=np.int64)
-    if probe_xs.size == 0 or len(other) == 0:
-        return PairBlock.empty(2)
-    other_ys, other_xs = other.sorted_by_y()
-    lo = np.searchsorted(other_ys, probe_ys, side="left")
-    hi = np.searchsorted(other_ys, probe_ys, side="right")
-    counts = hi - lo
-    hit = counts > 0
-    if not hit.any():
-        return PairBlock.empty(2)
-    xs, lo, counts = probe_xs[hit], lo[hit], counts[hit]
-    total = int(counts.sum())
-    out_x = np.repeat(xs, counts)
-    starts = np.cumsum(counts) - counts
-    gather = np.arange(total, dtype=np.int64) - np.repeat(starts, counts) + np.repeat(lo, counts)
-    out_z = other_xs[gather]
-    return PairBlock((out_z, out_x) if flip else (out_x, out_z))
-
-
-def deduped_probe_block(
-    probe_xs: np.ndarray,
-    probe_ys: np.ndarray,
-    other: Relation,
-    flip: bool = False,
-    chunk_rows: int = EXPANSION_CHUNK_ROWS,
-) -> PairBlock:
-    """Chunked, deduplicated probe expansion (distinct pairs only).
-
-    Each expansion chunk is deduplicated before the next is built, so peak
-    memory tracks the distinct output rather than the raw witness count —
-    the columnar analogue of the old set-based probe's memory profile.
-    """
-    probe_xs = np.asarray(probe_xs, dtype=np.int64)
-    probe_ys = np.asarray(probe_ys, dtype=np.int64)
-    if probe_xs.size == 0 or len(other) == 0:
-        return PairBlock.empty(2)
-    parts: List[PairBlock] = []
-    for sl in _probe_slices(probe_ys, other, chunk_rows):
-        # Cooperative cancellation point: each expansion chunk is the unit of
-        # deadline granularity for the combinatorial light path.
-        check_deadline("expand.chunk")
-        parts.append(
-            probe_pairs_block(probe_xs[sl], probe_ys[sl], other, flip=flip).dedup()
+    return PairBlock.concat_all([
+        block.dedup() if chunked else block
+        for block, chunked in _probe_chunks(
+            probe_xs, probe_ys, other, flip, layout, chunk_rows
         )
-    if not parts:
-        return PairBlock.empty(2)
-    if len(parts) == 1:
-        return parts[0]
-    return PairBlock.concat_all(parts).dedup()
+    ])
 
 
 def combinatorial_two_path_block(
@@ -165,36 +185,34 @@ def combinatorial_two_path_block(
         return PairBlock.from_pairs(
             _two_path_dedup_loop(left, right, dedup_strategy)
         ).dedup()
-    return deduped_probe_block(left.xs, left.ys, right, chunk_rows=chunk_rows)
+    return probe_pairs_block(
+        left.xs, left.ys, right, layout=head_layout([left, right]),
+        chunk_rows=chunk_rows,
+    ).dedup()
 
 
 def counted_probe_block(
     probe_xs: np.ndarray,
     probe_ys: np.ndarray,
     other: Relation,
+    layout: Optional[KeyLayout] = None,
     chunk_rows: int = EXPANSION_CHUNK_ROWS,
 ) -> CountedPairBlock:
     """Chunked witness-counting expansion of probe tuples against ``other``.
 
-    Every expanded ``(x, y, z)`` triple is one witness; the packed-key
-    ``np.add.at`` aggregation of :meth:`CountedPairBlock.dedup` turns the raw
-    expansion into exact per-pair counts.  Expansion chunks aggregate
-    independently (they partition the witnesses) and their counts sum in the
-    final merge, so peak memory stays output-sensitive.
+    Every expanded ``(x, y, z)`` triple is one witness, so the run lengths
+    of the sorted expansion are the exact per-pair counts
+    (:meth:`CountedPairBlock.dedup` on a raw expansion).  Expansion chunks
+    aggregate independently (they partition the witnesses) and their counts
+    sum in the final merge, so peak memory stays output-sensitive.
     """
-    probe_xs = np.asarray(probe_xs, dtype=np.int64)
-    probe_ys = np.asarray(probe_ys, dtype=np.int64)
-    if probe_xs.size == 0 or len(other) == 0:
-        return CountedPairBlock.empty(2)
-    merged: CountedPairBlock | None = None
-    for sl in _probe_slices(probe_ys, other, chunk_rows):
-        check_deadline("expand.chunk")
-        expansion = probe_pairs_block(probe_xs[sl], probe_ys[sl], other)
-        part = CountedPairBlock.from_expansion(expansion).dedup()
-        merged = part if merged is None else merged.concat(part)
-    if merged is None:
-        return CountedPairBlock.empty(2)
-    return merged if merged.deduped else merged.dedup(reduce="sum")
+    parts: List[CountedPairBlock] = []
+    for block, chunked in _probe_chunks(
+        probe_xs, probe_ys, other, False, layout, chunk_rows
+    ):
+        part = CountedPairBlock.from_expansion(block)
+        parts.append(part.dedup() if chunked else part)
+    return CountedPairBlock.concat_all(parts).dedup(reduce="sum")
 
 
 def combinatorial_two_path_counted(
@@ -205,7 +223,10 @@ def combinatorial_two_path_counted(
     """Witness-counting two-path expansion as a :class:`CountedPairBlock`."""
     if len(left) == 0 or len(right) == 0:
         return CountedPairBlock.empty(2)
-    return counted_probe_block(left.xs, left.ys, right, chunk_rows=chunk_rows)
+    return counted_probe_block(
+        left.xs, left.ys, right, layout=head_layout([left, right]),
+        chunk_rows=chunk_rows,
+    )
 
 
 def star_expansion_block(
@@ -286,7 +307,8 @@ def _star_neighbour_lists(
     y_domains = [r.y_values() for r in relations]
     shared_ys = leapfrog_intersection(y_domains)
     if restrict_to is not None:
-        allowed = np.unique(np.asarray(restrict_to, dtype=np.int64))
+        allowed = np.sort(np.asarray(restrict_to, dtype=np.int64))
+        allowed = allowed[run_starts(allowed)]
         shared_ys = leapfrog_intersection([shared_ys, allowed])
     indexes = [r.index_y() for r in relations]
     for y in shared_ys:

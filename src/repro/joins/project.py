@@ -108,7 +108,7 @@ def sort_dedup_pairs(pairs: Sequence[Pair]) -> List[Pair]:
     """Sort-based deduplication of a materialised pair list.
 
     Routed through the columnar :class:`~repro.data.pairblock.PairBlock`
-    (one packed-key ``np.unique`` in canonical order).
+    (one packed-key sort, canonical order).
     """
     if not pairs:
         return []
@@ -118,7 +118,7 @@ def sort_dedup_pairs(pairs: Sequence[Pair]) -> List[Pair]:
 def project_join_counts(full_join: Iterable[Tuple[int, int, int]]) -> Dict[Pair, int]:
     """Project (x, y, z) tuples onto (x, z) and count witnesses.
 
-    The (x, z) expansion is aggregated columnar (``np.add.at`` over packed
+    The (x, z) expansion is aggregated columnar (run lengths of the sorted packed
     keys) instead of a per-tuple Python dict accumulation.
     """
     rows = np.asarray(list(full_join), dtype=np.int64)

@@ -32,7 +32,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.pairblock import CountedPairBlock, PairBlock
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock
 from repro.data.relation import Relation
 from repro.matmul.tiling import MODE_CORE, _record, choose_tile_rows
 
@@ -283,14 +283,15 @@ def mapped_nonzero_block(
     threshold: float = 0.5,
     tile_rows: Optional[int] = None,
     stats: Optional[Dict[str, object]] = None,
+    layout: Optional[KeyLayout] = None,
 ) -> PairBlock:
     """Core-mapped equivalent of :func:`repro.matmul.tiling.tiled_nonzero_block`."""
     rows, cols = mapped_nonzero_coords(
         product, mapping, threshold=threshold, tile_rows=tile_rows, stats=stats
     )
-    row_arr = np.asarray(row_values, dtype=np.int64)
-    col_arr = np.asarray(col_values, dtype=np.int64)
-    block = PairBlock((row_arr[rows], col_arr[cols]), deduped=True)
+    block = PairBlock.from_gather(
+        (row_values, col_values), (rows, cols), layout, deduped=True
+    )
     _record(stats, memory_output_bytes=block.nbytes)
     return block
 
@@ -303,6 +304,7 @@ def mapped_nonzero_counted_block(
     threshold: float = 0.5,
     tile_rows: Optional[int] = None,
     stats: Optional[Dict[str, object]] = None,
+    layout: Optional[KeyLayout] = None,
 ) -> CountedPairBlock:
     """Core-mapped equivalent of
     :func:`repro.matmul.tiling.tiled_nonzero_counted_block`."""
@@ -310,9 +312,9 @@ def mapped_nonzero_counted_block(
         product, mapping, threshold=threshold, tile_rows=tile_rows, stats=stats,
         want_values=True
     )
-    row_arr = np.asarray(row_values, dtype=np.int64)
-    col_arr = np.asarray(col_values, dtype=np.int64)
-    counts = np.rint(values).astype(np.int64)
-    block = CountedPairBlock((row_arr[rows], col_arr[cols]), counts, deduped=True)
+    block = CountedPairBlock.of(
+        PairBlock.from_gather((row_values, col_values), (rows, cols), layout, deduped=True),
+        np.rint(values).astype(np.int64),
+    )
     _record(stats, memory_output_bytes=block.nbytes)
     return block

@@ -92,7 +92,7 @@ class MatMulBackend(abc.ABC):
 
     def extract_pairs(self, product, rows, cols, threshold: float,
                       tile_rows=None, stats=None, mode=None, mapping=None,
-                      density_hint=None) -> PairBlock:
+                      density_hint=None, layout=None) -> PairBlock:
         """Output pairs from a product as a columnar :class:`PairBlock`.
 
         Dense products go through the density-aware tiled scan
@@ -102,31 +102,32 @@ class MatMulBackend(abc.ABC):
         overrides the band height (``None`` = auto, ``0`` = one-shot scan);
         ``mode`` pins the scan strategy, ``mapping`` carries a DIM3
         dense-core permutation (used when ``mode == "core"``),
-        ``density_hint`` is the planner's output-density estimate, and
-        ``stats`` collects the extraction accounting for ``explain()``.
+        ``density_hint`` is the planner's output-density estimate,
+        ``stats`` collects the extraction accounting for ``explain()``, and
+        with a ``layout`` the block is emitted as packed keys.
         """
         if mapping is not None and mode == tiling.MODE_CORE:
             return mapping_mm.mapped_nonzero_block(
                 product, rows, cols, mapping, threshold=threshold,
-                tile_rows=tile_rows, stats=stats,
+                tile_rows=tile_rows, stats=stats, layout=layout,
             )
         return tiling.tiled_nonzero_block(
             product, rows, cols, threshold=threshold, tile_rows=tile_rows,
-            stats=stats, mode=mode, density_hint=density_hint,
+            stats=stats, mode=mode, density_hint=density_hint, layout=layout,
         )
 
     def extract_counts(self, product, rows, cols, threshold: float,
                        tile_rows=None, stats=None, mode=None, mapping=None,
-                       density_hint=None) -> CountedPairBlock:
+                       density_hint=None, layout=None) -> CountedPairBlock:
         """Witness counts from a product as a :class:`CountedPairBlock`."""
         if mapping is not None and mode == tiling.MODE_CORE:
             return mapping_mm.mapped_nonzero_counted_block(
                 product, rows, cols, mapping, threshold=threshold,
-                tile_rows=tile_rows, stats=stats,
+                tile_rows=tile_rows, stats=stats, layout=layout,
             )
         return tiling.tiled_nonzero_counted_block(
             product, rows, cols, threshold=threshold, tile_rows=tile_rows,
-            stats=stats, mode=mode, density_hint=density_hint,
+            stats=stats, mode=mode, density_hint=density_hint, layout=layout,
         )
 
     # -- heavy-residual evaluation (shared timed template) ----------------
@@ -145,18 +146,19 @@ class MatMulBackend(abc.ABC):
         extract_mode=None,
         mapping=None,
         density_hint=None,
+        layout=None,
     ) -> Tuple[PairBlock, float, float]:
         """Output-pair block of the heavy residual plus (build, multiply) seconds.
 
         ``operands`` may carry a prebuilt ``(m1, m2)`` pair in this backend's
         native layout (e.g. out of a session's operand cache); construction
         is then skipped and the reported build time is zero.  ``tile_rows``,
-        ``extract_stats``, ``extract_mode``, ``mapping`` and ``density_hint``
-        flow into :meth:`extract_pairs`.
+        ``extract_stats``, ``extract_mode``, ``mapping``, ``density_hint`` and
+        ``layout`` flow into :meth:`extract_pairs`.
         """
         return self._heavy(left_heavy, right_heavy, rows, mids, cols, threshold,
                            cores, self.extract_pairs, operands, tile_rows,
-                           extract_stats, extract_mode, mapping, density_hint)
+                           extract_stats, extract_mode, mapping, density_hint, layout)
 
     def heavy_counts(
         self,
@@ -173,15 +175,16 @@ class MatMulBackend(abc.ABC):
         extract_mode=None,
         mapping=None,
         density_hint=None,
+        layout=None,
     ) -> Tuple[CountedPairBlock, float, float]:
         """Witness-count block of the heavy residual plus (build, multiply) seconds."""
         return self._heavy(left_heavy, right_heavy, rows, mids, cols, threshold,
                            cores, self.extract_counts, operands, tile_rows,
-                           extract_stats, extract_mode, mapping, density_hint)
+                           extract_stats, extract_mode, mapping, density_hint, layout)
 
     def _heavy(self, left_heavy, right_heavy, rows, mids, cols, threshold, cores,
                extract, operands=None, tile_rows=None, extract_stats=None,
-               extract_mode=None, mapping=None, density_hint=None):
+               extract_mode=None, mapping=None, density_hint=None, layout=None):
         if operands is None:
             build_start = time.perf_counter()
             m1, m2 = self.build_operands(left_heavy, right_heavy, rows, mids, cols)
@@ -202,7 +205,7 @@ class MatMulBackend(abc.ABC):
         kwargs = {}
         for name, value in (("tile_rows", tile_rows), ("stats", extract_stats),
                             ("mode", extract_mode), ("mapping", mapping),
-                            ("density_hint", density_hint)):
+                            ("density_hint", density_hint), ("layout", layout)):
             if has_var_kw or name in params:
                 kwargs[name] = value
         if kwargs:
@@ -280,19 +283,19 @@ class SparseBackend(MatMulBackend):
 
     def extract_pairs(self, product, rows, cols, threshold: float,
                       tile_rows=None, stats=None, mode=None, mapping=None,
-                      density_hint=None) -> PairBlock:
+                      density_hint=None, layout=None) -> PairBlock:
         # A CSR product's COO scan is already output-proportional, so the
         # dense tiling/adaptive/core knobs do not apply; only the accounting
         # is recorded.
         return sparse_mm.sparse_nonzero_block(
-            product, rows, cols, threshold=threshold, stats=stats
+            product, rows, cols, threshold=threshold, stats=stats, layout=layout
         )
 
     def extract_counts(self, product, rows, cols, threshold: float,
                        tile_rows=None, stats=None, mode=None, mapping=None,
-                       density_hint=None) -> CountedPairBlock:
+                       density_hint=None, layout=None) -> CountedPairBlock:
         return sparse_mm.sparse_nonzero_counted_block(
-            product, rows, cols, threshold=threshold, stats=stats
+            product, rows, cols, threshold=threshold, stats=stats, layout=layout
         )
 
     def estimate_cost(

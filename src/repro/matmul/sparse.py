@@ -8,12 +8,12 @@ and the ablation benchmark compares the two.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 from scipy import sparse
 
-from repro.data.pairblock import CountedPairBlock, PairBlock
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock
 from repro.data.relation import Relation
 
 Pair = Tuple[int, int]
@@ -73,14 +73,13 @@ def sparse_nonzero_block(
     col_values: Sequence[int],
     threshold: float = 0.5,
     stats=None,
+    layout: Optional[KeyLayout] = None,
 ) -> PairBlock:
-    """Output pairs above ``threshold`` as a columnar :class:`PairBlock`."""
+    """Output pairs above ``threshold`` as a :class:`PairBlock`."""
     coo = product.tocoo()
-    row_arr = np.asarray(row_values, dtype=np.int64)
-    col_arr = np.asarray(col_values, dtype=np.int64)
     keep = coo.data > threshold
-    block = PairBlock(
-        (row_arr[coo.row[keep]], col_arr[coo.col[keep]]), deduped=True
+    block = PairBlock.from_gather(
+        (row_values, col_values), (coo.row[keep], coo.col[keep]), layout, deduped=True
     )
     _record_coo_stats(stats, coo, block)
     return block
@@ -92,15 +91,16 @@ def sparse_nonzero_counted_block(
     col_values: Sequence[int],
     threshold: float = 0.5,
     stats=None,
+    layout: Optional[KeyLayout] = None,
 ) -> CountedPairBlock:
     """Like :func:`sparse_nonzero_block` but with exact witness counts."""
     coo = product.tocoo()
-    row_arr = np.asarray(row_values, dtype=np.int64)
-    col_arr = np.asarray(col_values, dtype=np.int64)
     keep = coo.data > threshold
-    counts = np.rint(coo.data[keep]).astype(np.int64)
-    block = CountedPairBlock(
-        (row_arr[coo.row[keep]], col_arr[coo.col[keep]]), counts, deduped=True
+    block = CountedPairBlock.of(
+        PairBlock.from_gather(
+            (row_values, col_values), (coo.row[keep], coo.col[keep]), layout, deduped=True
+        ),
+        np.rint(coo.data[keep]).astype(np.int64),
     )
     _record_coo_stats(stats, coo, block)
     return block

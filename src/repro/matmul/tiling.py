@@ -60,7 +60,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.data.pairblock import CountedPairBlock, PairBlock
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock
 from repro.errors import check_deadline
 from repro.faults import SITE_EXTRACT_ALLOC, fault_site
 
@@ -498,15 +498,20 @@ def tiled_nonzero_block(
     stats: Optional[Dict[str, object]] = None,
     mode: Optional[str] = None,
     density_hint: Optional[float] = None,
+    layout: Optional[KeyLayout] = None,
 ) -> PairBlock:
-    """Tiled equivalent of :func:`repro.matmul.dense.nonzero_block`."""
+    """Tiled equivalent of :func:`repro.matmul.dense.nonzero_block`.
+
+    With a ``layout`` the block is born as packed keys
+    (``row_key[rows] | col_key[cols]``).
+    """
     rows, cols = tiled_nonzero_coords(
         product, threshold=threshold, tile_rows=tile_rows, stats=stats,
         mode=mode, density_hint=density_hint,
     )
-    row_arr = np.asarray(row_values, dtype=np.int64)
-    col_arr = np.asarray(col_values, dtype=np.int64)
-    block = PairBlock((row_arr[rows], col_arr[cols]), deduped=True)
+    block = PairBlock.from_gather(
+        (row_values, col_values), (rows, cols), layout, deduped=True
+    )
     _record(stats, memory_output_bytes=block.nbytes)
     return block
 
@@ -520,15 +525,16 @@ def tiled_nonzero_counted_block(
     stats: Optional[Dict[str, object]] = None,
     mode: Optional[str] = None,
     density_hint: Optional[float] = None,
+    layout: Optional[KeyLayout] = None,
 ) -> CountedPairBlock:
     """Tiled equivalent of :func:`repro.matmul.dense.nonzero_counted_block`."""
     rows, cols, values = tiled_nonzero_coords(
         product, threshold=threshold, tile_rows=tile_rows, stats=stats,
         want_values=True, mode=mode, density_hint=density_hint,
     )
-    row_arr = np.asarray(row_values, dtype=np.int64)
-    col_arr = np.asarray(col_values, dtype=np.int64)
-    counts = np.rint(values).astype(np.int64)
-    block = CountedPairBlock((row_arr[rows], col_arr[cols]), counts, deduped=True)
+    block = CountedPairBlock.of(
+        PairBlock.from_gather((row_values, col_values), (rows, cols), layout, deduped=True),
+        np.rint(values).astype(np.int64),
+    )
     _record(stats, memory_output_bytes=block.nbytes)
     return block

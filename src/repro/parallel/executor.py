@@ -17,7 +17,7 @@ also releases the GIL for the bulk of its work.
 pipeline: with ``cores > 1`` the ``combinatorial_light`` operator probes in
 per-core chunks — every worker returns a columnar
 :class:`~repro.data.pairblock.PairBlock`, and the merge is one array
-concatenation plus a single packed-key ``np.unique`` instead of per-worker
+concatenation plus a single sort of the packed keys instead of per-worker
 set unions — and the dense backend row-partitions the heavy product via
 :func:`parallel_matmul`.
 """

@@ -26,8 +26,6 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
-import numpy as np
-
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.data.pairblock import CountedPairBlock
 from repro.data.setfamily import SetFamily
@@ -114,9 +112,9 @@ def ssj_from_counted(
 ) -> SSJResult:
     """Apply the overlap threshold to a counted join-project result.
 
-    The threshold filter and the self-join canonicalisation run columnar on
-    the pipeline's :class:`~repro.data.pairblock.CountedPairBlock`; the
-    Python set/dict of :class:`SSJResult` materialise once, here, at the API
+    The threshold filter and the self-join's unordered-pair selection run
+    columnar on the pipeline's
+    :class:`~repro.data.pairblock.CountedPairBlock`; the Python set/dict of :class:`SSJResult` materialise once, here, at the API
     boundary.  Shared by :func:`ssj_mmjoin` and
     :meth:`repro.serve.session.QuerySession.similarity` (whose memoized
     counting join is threshold-independent, so sweeping ``c`` reuses it).
@@ -124,14 +122,11 @@ def ssj_from_counted(
     a_col, b_col = counted.columns
     keep = counted.counts >= c
     if self_join:
-        keep &= a_col != b_col
-    counted = counted.filter(keep)
-    if self_join:
-        a_col, b_col = counted.columns
-        counted = CountedPairBlock(
-            (np.minimum(a_col, b_col), np.maximum(a_col, b_col)), counted.counts
-        ).dedup(reduce="max")  # (a,b) and (b,a) carry the same overlap
-    counts = counted.to_dict()
+        # A counting self-join block is symmetric — (a, b) and (b, a) carry
+        # the same overlap — and already in canonical order, so its a < b
+        # half is the unordered result: no canonicalising re-sort.
+        keep &= a_col < b_col
+    counts = counted.filter(keep).to_dict()
     return SSJResult(
         pairs=set(counts),
         counts=counts,

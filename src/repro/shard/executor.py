@@ -36,7 +36,7 @@ Four output-sensitive escapes sit in front of that pipeline:
 
 The cross-shard merge is the same columnar machinery the operators use:
 one concatenation of the per-shard :class:`~repro.data.pairblock.PairBlock`
-results plus a single packed-key ``np.unique`` (with summed witness counts
+results plus a single packed-key sort (with summed witness counts
 under counting mode — witness populations are disjoint across shards, so
 the sums are exact).
 
@@ -833,7 +833,7 @@ def execute_sharded(
         # is wrong, not approximate.
         raise failures[0]
 
-    # ---- cross-shard merge (one concat + one packed-key unique) ---------- #
+    # ---- cross-shard merge (one concat + one packed-key sort) ------------ #
     merge_start = time.perf_counter()
     arity = routed.arity
     with obs_span("shard_merge", shards=len(outcomes)):

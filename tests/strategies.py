@@ -10,7 +10,9 @@ relation" covers:
 * **empty** and **single-row** edge cases;
 * **signed** values (negative keys exercise the packed layout's offsets);
 * **huge-domain** values (up to ``2**40``) that overflow the packed-int64
-  fast path and force the ``np.unique(axis=0)`` fallback.
+  fast path and force the ``np.unique(axis=0)`` fallback;
+* **boundary** values whose columns add up to exactly 62 key bits, or one
+  more — the last rows the packed path takes and the first it refuses.
 
 The seeded (non-hypothesis) ``random_relation`` generator lives here too so
 deterministic parametrised tests share the same input shapes.
@@ -78,12 +80,46 @@ def huge_domain_rows(max_size: int = 40):
     return pair_lists(values=HUGE_VALUES, max_size=max_size)
 
 
+@st.composite
+def boundary_rows(draw, arity: int = 2, max_size: int = 40) -> List[Tuple[int, ...]]:
+    """Rows straddling the packed-key limit of 62 bits.
+
+    Every column spans exactly ``w = 62 // arity`` bits (the widest rows the
+    packed path takes) or ``w + 1`` bits (the narrowest that need the
+    fallback); the extreme rows are always present so the span is exact.
+    """
+    width = 62 // arity
+    top = draw(st.sampled_from([2**width - 1, 2**width]))
+    values = st.integers(min_value=0, max_value=top)
+    rows = draw(st.lists(st.tuples(*[values] * arity), max_size=max_size))
+    return rows + [(0,) * arity, (top,) * arity]
+
+
 def any_domain_rows(max_size: int = 100):
-    """The canonical mix over small, signed and packed-key-overflowing domains."""
+    """The canonical mix over small, signed, 62-bit-boundary and
+    packed-key-overflowing domains."""
     return st.one_of(
         relation_rows(values=SMALL_VALUES, max_size=max_size),
         relation_rows(values=SIGNED_VALUES, max_size=max_size),
+        boundary_rows(max_size=min(max_size, 40)),
         huge_domain_rows(),
+    )
+
+
+def any_domain_tuples(arity: int, max_size: int = 60):
+    """:func:`any_domain_rows` for arity-``k`` blocks: small (collision-heavy),
+    signed, 62-bit-boundary and overflowing domains; empty and single-row lists."""
+    def rows(values, size=max_size):
+        return st.lists(st.tuples(*[values] * arity), max_size=size)
+
+    return st.one_of(
+        st.just([]),
+        rows(SMALL_VALUES, 1),
+        rows(st.integers(min_value=0, max_value=3)),  # heavy duplication
+        rows(SMALL_VALUES),
+        rows(SIGNED_VALUES),
+        boundary_rows(arity=arity, max_size=min(max_size, 40)),
+        rows(HUGE_VALUES, 40),
     )
 
 

@@ -87,6 +87,37 @@ _CHAOS_RETRY = RetryPolicy(max_attempts=3, base_delay_ms=0.01,
                            max_delay_ms=0.05, jitter=0.0)
 
 
+def _assert_canonical(block) -> None:
+    """Rows strictly increasing lexicographically: sorted and duplicate-free."""
+    rows = block.as_array()
+    if len(rows) < 2:
+        return
+    changed = rows[1:] != rows[:-1]
+    assert changed.any(axis=1).all(), "duplicate result rows"
+    first = changed.argmax(axis=1)
+    at = np.arange(len(first))
+    assert (rows[1:][at, first] > rows[:-1][at, first]).all(), "result rows out of order"
+
+
+@pytest.fixture(autouse=True)
+def _results_leave_in_canonical_order(monkeypatch):
+    """Every axis of this harness also checks the result block's order.
+
+    All serving paths — unsharded, sharded, patched, memo, batch, async,
+    the one-shot entry points, every backend and extract mode — return
+    through ``QuerySession._evaluate``, so one wrapper covers them all.
+    """
+    evaluate = QuerySession._evaluate
+
+    def checked(self, *args, **kwargs):
+        result = evaluate(self, *args, **kwargs)
+        _assert_canonical(result.result_block)
+        assert result.result_block.layout is None  # decoded before it leaves
+        return result
+
+    monkeypatch.setattr(QuerySession, "_evaluate", checked)
+
+
 # --------------------------------------------------------------------------- #
 # Engines
 # --------------------------------------------------------------------------- #

@@ -7,17 +7,25 @@ the equivalent operation on plain sets/dicts of tuples, and the heavy-residual
 extraction must agree across every registered matmul backend.
 """
 
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
-from strategies import HUGE_VALUES, pair_lists, triple_lists
+from hypothesis import strategies as st
+from strategies import (
+    HUGE_VALUES,
+    any_domain_tuples,
+    boundary_rows,
+    pair_lists,
+    triple_lists,
+)
 
 from repro.core.config import MMJoinConfig
 from repro.core.partitioning import partition_two_path
 from repro.core.two_path import two_path_join, two_path_join_counts
-from repro.data.pairblock import CountedPairBlock, PairBlock
+from repro.data.pairblock import MAX_KEY_BITS, CountedPairBlock, KeyLayout, PairBlock
 from repro.data.relation import Relation
 from repro.joins.baseline import (
     combinatorial_star,
@@ -31,6 +39,7 @@ from repro.joins.baseline import (
 )
 from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 from repro.matmul.registry import make_default_registry
+from repro.parallel.executor import ParallelExecutor
 
 
 class TestPairBlockSetSemantics:
@@ -148,6 +157,173 @@ class TestCountedBlockSemantics:
         assert block.dedup(reduce="max").to_dict() == {(1, 2): -3, (2, 3): 0}
 
 
+ARITIES = (1, 2, 3, 4)
+
+# Small signed counts (zero and negative included) keep the counts inside the
+# sort key; the wide ones need more bits than any key leaves free, which
+# forces the argsort path of the aggregation.
+NARROW_COUNTS = st.integers(min_value=-3, max_value=5)
+WIDE_COUNTS = st.integers(min_value=-(2**61), max_value=2**61)
+
+
+def _block(rows, arity):
+    return PairBlock.from_pairs(rows, arity=arity)
+
+
+def _key_form(block):
+    """The block re-held as packed keys, or None when its ranges do not pack."""
+    if len(block) == 0:
+        return None
+    layout = KeyLayout.for_columns([block.columns])
+    if layout is None:
+        return None
+    return PairBlock.from_keys(layout.pack(block.columns), layout)
+
+
+def _rows_of(block):
+    return [tuple(row) for row in block.as_array().tolist()]
+
+
+@pytest.mark.parametrize("arity", ARITIES)
+class TestKeyNativeBlocks:
+    """Packed keys are a representation, never a change of meaning."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_layout_round_trip(self, arity, data):
+        rows = data.draw(any_domain_tuples(arity))
+        block = _block(rows, arity)
+        layout = KeyLayout.for_columns([block.columns]) if rows else None
+        if layout is None:
+            return
+        assert layout.bits <= MAX_KEY_BITS and layout.arity == arity
+        keys = layout.pack(block.columns)
+        assert keys.min() >= 0
+        for packed, column in zip(layout.unpack(keys), block.columns):
+            assert np.array_equal(packed, column)
+        # Key order is lexicographic row order.
+        assert _rows_of(PairBlock.from_keys(np.sort(keys), layout)) == sorted(rows)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_dedup_equals_unique_rows(self, arity, data):
+        rows = data.draw(any_domain_tuples(arity))
+        block = _block(rows, arity)
+        expected = np.unique(block.as_array(), axis=0)
+        deduped = block.dedup()
+        assert np.array_equal(deduped.as_array(), expected)
+        assert deduped.deduped and deduped.layout is None and deduped.arity == arity
+        packed = _key_form(block)
+        if packed is not None:
+            assert packed == block  # key-form and column-form compare equal
+            repacked = packed.dedup()
+            assert len(repacked) <= 1 or repacked.layout is not None  # keys stay keys
+            assert np.array_equal(repacked.as_array(), expected)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_counted_dedup_equals_dict_reference(self, arity, data):
+        rows = data.draw(any_domain_tuples(arity))
+        counts = data.draw(st.lists(
+            data.draw(st.sampled_from([NARROW_COUNTS, WIDE_COUNTS])),
+            min_size=len(rows), max_size=len(rows),
+        ))
+        summed, largest = {}, {}
+        for row, count in zip(rows, counts):
+            summed[row] = summed.get(row, 0) + count
+            largest[row] = max(largest.get(row, count), count)
+        if any(abs(total) >= 2**63 for total in summed.values()):
+            return  # the reference itself left int64
+        block = _block(rows, arity)
+        forms = [block]
+        if _key_form(block) is not None:
+            forms.append(_key_form(block))
+        for rows_block in forms:
+            counted = CountedPairBlock.of(rows_block, np.asarray(counts, dtype=np.int64))
+            for reduce, expected in (("sum", summed), ("max", largest)):
+                result = counted.dedup(reduce=reduce)
+                assert _rows_of(result) == sorted(expected)
+                assert result.counts.tolist() == [expected[r] for r in sorted(expected)]
+                assert result.deduped
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_raw_expansion_counts_are_run_lengths(self, arity, data):
+        rows = data.draw(any_domain_tuples(arity))
+        block = _block(rows, arity)
+        for rows_block in filter(None, (block, _key_form(block))):
+            expansion = CountedPairBlock.from_expansion(rows_block)
+            assert expansion.dedup().to_dict() == dict(Counter(rows))
+            assert set(expansion.dedup(reduce="max").to_dict().values()) <= {1}
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_concat_within_and_across_layouts(self, arity, data):
+        a = data.draw(any_domain_tuples(arity))
+        b = data.draw(any_domain_tuples(arity))
+        block_a, block_b = _block(a, arity), _block(b, arity)
+        # Each side packed under its own layout: the layouts differ, so the
+        # concatenation decodes — and must still be the multiset union.
+        own = PairBlock.concat_all(
+            [_key_form(block_a) or block_a, _key_form(block_b) or block_b], arity=arity
+        )
+        assert sorted(_rows_of(own)) == sorted(a + b)
+        assert own.dedup() == set(a) | set(b)
+        # Both sides under one shared layout: the keys concatenate as keys.
+        shared = KeyLayout.for_columns([block_a.columns, block_b.columns]) if a and b else None
+        if shared is not None:
+            merged = PairBlock.from_keys(shared.pack(block_a.columns), shared).concat(
+                PairBlock.from_keys(shared.pack(block_b.columns), shared)
+            )
+            assert merged.layout == shared
+            assert sorted(_rows_of(merged)) == sorted(a + b)
+
+    @settings(max_examples=15, deadline=None)
+    @given(data=st.data())
+    def test_key_form_survives_pickle_through_the_pool(self, arity, data):
+        rows = data.draw(any_domain_tuples(arity))
+        packed = _key_form(_block(rows, arity))
+        if packed is None:
+            return
+        counted = CountedPairBlock.from_expansion(packed)
+        pool = ParallelExecutor(cores=2)
+        copies = pool.map(lambda item: pickle.loads(pickle.dumps(item)),
+                          [packed, counted, packed.dedup()])
+        assert copies[0].layout == packed.layout and copies[0] == packed
+        assert copies[1].dedup().to_dict() == dict(Counter(rows))
+        assert _rows_of(copies[2]) == sorted(set(rows))
+
+
+class TestKeyLayoutLimit:
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(), arity=st.sampled_from(ARITIES))
+    def test_limit_is_62_bits(self, data, arity):
+        """Columns of w = 62 // k bits pack; one more bit each and they do not."""
+        rows = data.draw(boundary_rows(arity=arity))
+        block = _block(rows, arity)
+        layout = KeyLayout.for_columns([block.columns])
+        top = max(max(row) for row in rows)
+        if top == 2 ** (62 // arity) - 1:
+            assert layout is not None and layout.bits == arity * (62 // arity)
+        else:
+            assert layout is None
+        assert np.array_equal(block.dedup().as_array(), np.unique(block.as_array(), axis=0))
+
+    def test_for_ranges_matches_for_columns(self):
+        block = PairBlock.from_pairs([(-4, 10), (9, 3), (0, 7)])
+        assert KeyLayout.for_ranges([(-4, 9), (3, 10)]) == KeyLayout.for_columns(
+            [block.columns]
+        )
+        assert KeyLayout.for_ranges([(0, 2**40), (0, 2**40)]) is None
+
+    def test_finished_block_holds_one_representation(self):
+        layout = KeyLayout.for_ranges([(0, 9), (0, 9)])
+        block = PairBlock.from_keys(layout.pack((np.arange(10), np.arange(10))), layout)
+        assert block.layout == layout and block.nbytes == 160
+        columns = block.columns
+        assert block.layout is None and block.columns is columns and block.nbytes == 160
+
+
 def _relation_from(rows, name):
     return Relation.from_pairs(rows, name=name)
 
@@ -195,9 +371,8 @@ class TestPipelineProperties:
         """Chunks stay under the expansion cap (single probes may exceed it)."""
         from repro.joins.baseline import _probe_slices
 
-        right = Relation.from_pairs([(z, 0) for z in range(10)], "S")
-        probe_ys = np.zeros(6, dtype=np.int64)  # 10 expansions per probe
-        slices = _probe_slices(probe_ys, right, chunk_rows=15)
+        counts = np.full(6, 10, dtype=np.int64)  # 10 expansions per probe
+        slices = _probe_slices(counts, chunk_rows=15)
         for sl in slices:
             width = sl.stop - sl.start
             assert width * 10 <= 15 or width == 1

@@ -1,8 +1,13 @@
 """Tests for set similarity join (unordered and ordered)."""
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from strategies import set_families
 
 from repro.core.config import MMJoinConfig
+from repro.data.pairblock import CountedPairBlock
+from repro.serve import QuerySession
 from repro.setops.ssj import (
     set_similarity_join,
     size_boundary,
@@ -79,6 +84,37 @@ class TestUnorderedSSJ:
     def test_sizeaware_records_partition_sizes(self, skewed_family):
         result = ssj_sizeaware(skewed_family, c=2)
         assert result.heavy_sets + result.light_sets == skewed_family.num_sets()
+
+
+class TestCountedSelfJoinIsSymmetric:
+    """``ssj_from_counted`` keeps the ``a < b`` half of a self-join with a mask.
+
+    That is only the unordered result if the counting self-join block holds
+    ``(b, a)`` with the same overlap whenever it holds ``(a, b)``, in
+    canonical order — on every plan and through the sharded merge.
+    """
+
+    @settings(max_examples=25, deadline=None)
+    @given(family=set_families(max_size=80))
+    @pytest.mark.parametrize("shards", [1, 3])
+    @pytest.mark.parametrize("config", [
+        MMJoinConfig(delta1=1, delta2=1),
+        MMJoinConfig(delta1=2, delta2=2, matrix_backend="sparse"),
+        MMJoinConfig().without_optimizer(),
+    ])
+    def test_block_equals_its_transpose(self, family, shards, config):
+        with QuerySession(config=config, shards=shards) as session:
+            session.register_family(family, name="F", sharded=shards > 1)
+            counted = session.two_path("F", counting=True, use_memo=False).result_counted
+            ssj = session.similarity("F", c=2)
+        a_col, b_col = counted.columns
+        assert counted.deduped
+        transposed = CountedPairBlock((b_col, a_col), counted.counts).dedup()
+        assert np.array_equal(transposed.as_array(), counted.as_array())
+        assert np.array_equal(transposed.counts, counted.counts)
+        expected = ssj_bruteforce(family, c=2)
+        assert ssj.pairs == expected.pairs and ssj.counts == expected.counts
+        assert list(ssj.counts) == sorted(ssj.counts)  # canonical, with no sort
 
 
 class TestSizeAwarePlusAblation:
