@@ -30,7 +30,9 @@ that replaces those sets *inside* the pipeline:
 
 Python sets appear only at the API boundary: :meth:`PairBlock.to_set` /
 :meth:`PairBlock.from_pairs` (and the counted dict equivalents) convert
-lazily where engines, the CLI and the legacy result objects need them.
+where engines, the CLI and the result objects need them, and every result
+object declares those attributes with :class:`lazy_view`, so the conversion
+runs on first read, once, and never inside a query.
 """
 
 from __future__ import annotations
@@ -127,6 +129,39 @@ def run_starts(sorted_keys: np.ndarray) -> np.ndarray:
 def _strictly_increasing(keys: np.ndarray) -> bool:
     """Whether non-empty ``keys`` are already sorted and duplicate-free."""
     return bool((keys[1:] > keys[:-1]).all())
+
+
+class lazy_view:
+    """A Python-native view of one of its owner's blocks, built on first read.
+
+    ``pairs = lazy_view("result_block", "to_set")`` in a class body makes
+    ``obj.pairs`` the cached ``obj.result_block.to_set()`` — the single
+    definition of the API-boundary conversion every result object shares.
+    While the block is ``None`` the view reads as ``default()``, uncached;
+    assigning stores a ready-made view (the Python-native engines compute
+    their sets directly).  On the class it reads ``None``, which a dataclass
+    takes as the field default: an annotated view is an optional init argument.
+    """
+
+    def __init__(self, source: str, convert: str, default=lambda: None) -> None:
+        self._source, self._convert, self._default = source, convert, default
+
+    def __set_name__(self, owner, name: str) -> None:
+        self._slot = f"_{name}_view"
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        view = obj.__dict__.get(self._slot)
+        if view is None:
+            block = getattr(obj, self._source)
+            if block is None:
+                return self._default()
+            view = obj.__dict__[self._slot] = getattr(block, self._convert)()
+        return view
+
+    def __set__(self, obj, view) -> None:
+        obj.__dict__[self._slot] = view
 
 
 def _as_columns(columns: Sequence[np.ndarray]) -> Tuple[np.ndarray, ...]:
@@ -282,6 +317,21 @@ class PairBlock:
         for col, value in zip(self.columns[1:], row[1:]):
             mask &= col == int(value)
         return bool(mask.any())
+
+    def find(self, row: HeadTuple) -> int:
+        """Position of ``row`` in a block in canonical order, ``-1`` if absent.
+
+        One binary search per column, each inside the run the previous column
+        left — valid on a :meth:`dedup` result and on any filter of one.
+        """
+        lo, hi = 0, len(self)
+        for col, value in zip(self.columns, row):
+            run = col[lo:hi]
+            hi = lo + int(np.searchsorted(run, value, "right"))
+            lo = lo + int(np.searchsorted(run, value, "left"))
+            if lo == hi:
+                return -1
+        return lo
 
     def __repr__(self) -> str:
         return f"PairBlock(rows={len(self)}, arity={self.arity})"
@@ -597,6 +647,10 @@ class CountedPairBlock:
         """The key rows as a plain :class:`PairBlock` (counts dropped)."""
         return self._block
 
+    def find(self, row: HeadTuple) -> int:
+        """:meth:`PairBlock.find` over the key rows (``counts[i]`` is its count)."""
+        return self._block.find(row)
+
     def materialize(self) -> "CountedPairBlock":
         """This block with its key rows switched to column form."""
         self._block.materialize()
@@ -657,9 +711,9 @@ class CountedPairBlock:
 
     def filter(self, mask: np.ndarray) -> "CountedPairBlock":
         """Rows selected by a boolean mask (e.g. ``counts >= c``)."""
-        mask = np.asarray(mask, dtype=bool)
+        rows = np.flatnonzero(mask)  # one scan of the mask, then plain takes
         return CountedPairBlock(
-            tuple(c[mask] for c in self.columns), self.counts[mask], deduped=self.deduped
+            tuple(c[rows] for c in self.columns), self.counts[rows], deduped=self.deduped
         )
 
     def as_array(self) -> np.ndarray:

@@ -7,8 +7,8 @@ writes its own.  Results move between operators exclusively as blocks
 :class:`~repro.data.pairblock.CountedPairBlock` under MODE_COUNTS; packed
 keys under :attr:`ExecutionState.layout` between the phases, columns once
 ``DedupMerge`` has run) — Python
-sets and dicts exist only behind the lazy boundary properties
-(:attr:`ExecutionState.pairs`, :attr:`ExecutionState.counts`, ...) that the
+sets and dicts exist only behind the lazy boundary views
+(:attr:`ExecutionState.pairs`, :attr:`ExecutionState.counts`) that the
 engines, the CLI and the legacy result objects
 (:class:`~repro.core.two_path.MMJoinResult`,
 :class:`~repro.core.star.StarJoinResult`) consume.
@@ -17,16 +17,14 @@ engines, the CLI and the legacy result objects
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Set, Tuple
+from typing import Any, Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.core.optimizer import OptimizerDecision
-from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock, lazy_view
 from repro.data.relation import Relation
-
-HeadTuple = Tuple[int, ...]
 
 # Execution modes: which variant of the pipeline the operators run.
 MODE_PAIRS = "pairs"      # set-semantics two-path (Algorithm 1)
@@ -95,11 +93,10 @@ class ExecutionState:
     done: bool = False
     timings: Dict[str, float] = field(default_factory=dict)
 
-    # Lazy boundary caches (never touched by operators).
-    _pairs_cache: Optional[Set[HeadTuple]] = field(default=None, init=False, repr=False)
-    _counts_cache: Optional[Dict[Tuple[int, int], int]] = field(
-        default=None, init=False, repr=False
-    )
+    # Boundary views: the merged output as a Python set / ``{(x, z): n}``
+    # dict, materialised lazily and only for consumers outside the pipeline.
+    pairs = lazy_view("result_block", "to_set", default=set)
+    counts = lazy_view("result_counted", "to_dict")
 
     def finish_empty(self) -> None:
         """Short-circuit the pipeline with an empty result (dangling inputs)."""
@@ -119,24 +116,3 @@ class ExecutionState:
         if self.result_block is None:
             return 0
         return len(self.result_block)
-
-    # ------------------------------------------------------------------ #
-    # Boundary properties: Python sets/dicts materialise here, lazily, and
-    # only for consumers outside the operator pipeline.
-    # ------------------------------------------------------------------ #
-    @property
-    def pairs(self) -> Set[HeadTuple]:
-        """The merged output as a Python set (lazy boundary conversion)."""
-        if self._pairs_cache is None:
-            block = self.result_block
-            self._pairs_cache = block.to_set() if block is not None else set()
-        return self._pairs_cache
-
-    @property
-    def counts(self) -> Optional[Dict[Tuple[int, int], int]]:
-        """Witness counts as ``{(x, z): n}`` (lazy boundary conversion)."""
-        if self.result_counted is None:
-            return None
-        if self._counts_cache is None:
-            self._counts_cache = self.result_counted.to_dict()
-        return self._counts_cache

@@ -47,7 +47,7 @@ import time
 import weakref
 from collections import OrderedDict, deque
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace as dc_replace
+from dataclasses import dataclass, replace as dc_replace
 from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
@@ -56,7 +56,7 @@ from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.core.estimation import detect_heavy_join_keys
 from repro.core.optimizer import CostBasedOptimizer
 from repro.data.catalog import Catalog
-from repro.data.pairblock import CountedPairBlock, PairBlock
+from repro.data.pairblock import CountedPairBlock, PairBlock, lazy_view
 from repro.data.relation import Relation
 from repro.data.setfamily import SetFamily
 from repro.errors import (
@@ -102,7 +102,6 @@ from repro.shard.router import ShardRouter
 from repro.shard.sharded import ShardedRelation
 from repro.shard.spec import ShardingSpec
 
-HeadTuple = Tuple[int, ...]
 
 # Bound on the delta-lineage map (see SessionContext.record_delta_parent):
 # evicted entries only cost a full (still correct) re-merge on the next read.
@@ -247,8 +246,9 @@ class SessionResult:
     # Telemetry: the id of the trace recorded for this call (None when the
     # session's telemetry is disabled).  Feeds `repro-cli trace <id>`.
     trace_id: Optional[str] = None
-    _pairs_cache: Optional[Set[HeadTuple]] = field(default=None, repr=False)
-    _counts_cache: Optional[Dict[HeadTuple, int]] = field(default=None, repr=False)
+
+    pairs = lazy_view("result_block", "to_set", default=set)
+    counts = lazy_view("result_counted", "to_dict")
 
     @property
     def output_size(self) -> int:
@@ -256,21 +256,6 @@ class SessionResult:
 
     def __len__(self) -> int:
         return self.output_size
-
-    @property
-    def pairs(self) -> Set[HeadTuple]:
-        if self._pairs_cache is None:
-            block = self.result_block
-            self._pairs_cache = block.to_set() if block is not None else set()
-        return self._pairs_cache
-
-    @property
-    def counts(self) -> Optional[Dict[HeadTuple, int]]:
-        if self.result_counted is None:
-            return None
-        if self._counts_cache is None:
-            self._counts_cache = self.result_counted.to_dict()
-        return self._counts_cache
 
     @property
     def partial(self) -> bool:
@@ -1184,7 +1169,7 @@ class QuerySession:
         result = self.evaluate(query, use_memo=use_memo, config=self._config_with(overrides))
         assert result.result_counted is not None
         return scj_from_counted(
-            result.result_counted, family.sizes(), self_join=other_family is None,
+            result.result_counted, family, self_join=other_family is None,
             seconds=result.seconds,
         )
 

@@ -31,6 +31,7 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
+from repro.data.pairblock import CountedPairBlock, PairBlock, lazy_view, run_starts
 from repro.data.setfamily import SetFamily
 from repro.joins.leapfrog import intersect_sorted
 from repro.plan.planner import Planner
@@ -42,20 +43,29 @@ Pair = Tuple[int, int]
 SCJ_METHODS = ("mmjoin", "pretti", "limit", "piejoin")
 
 
-@dataclass
+@dataclass(repr=False, eq=False)  # either would materialise the view
 class SCJResult:
-    """Result of a set containment join: pairs ``(contained, container)``."""
+    """Result of a set containment join: pairs ``(contained, container)``.
 
-    pairs: Set[Pair]
-    method: str
+    :func:`scj_mmjoin` hands back :attr:`block`, the surviving rows of the
+    pipeline's result as a :class:`~repro.data.pairblock.PairBlock` in
+    canonical order: ``len()`` is its length, ``in`` a binary search in it,
+    and ``pairs`` (and iteration) a Python set built from it on first read
+    and cached.  The Python-native methods pass ``pairs`` ready-made.
+    """
+
+    pairs: Optional[Set[Pair]] = lazy_view("block", "to_set", default=set)
+    method: str = "mmjoin"
     timings: Dict[str, float] = field(default_factory=dict)
     verifications: int = 0
+    block: Optional[PairBlock] = None
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.pairs if self.block is None else self.block)
 
     def __contains__(self, pair: Pair) -> bool:
-        return (int(pair[0]), int(pair[1])) in self.pairs
+        pair = (int(pair[0]), int(pair[1]))
+        return pair in self.pairs if self.block is None else self.block.find(pair) >= 0
 
     def __iter__(self):
         return iter(self.pairs)
@@ -89,38 +99,31 @@ def set_containment_join(
 # MMJoin-based SCJ
 # --------------------------------------------------------------------------- #
 def scj_from_counted(
-    counted,
-    sizes: Dict[int, int],
+    counted: CountedPairBlock,
+    family: SetFamily,
     self_join: bool,
     seconds: float = 0.0,
     timings: Optional[Dict[str, float]] = None,
 ) -> SCJResult:
     """Turn a counted join-project result into containment pairs.
 
-    The ordered witness counts are compared against each contained set's
-    size columnar, on the pipeline's
-    :class:`~repro.data.pairblock.CountedPairBlock` — the Python pair set
-    materialises once, here, at the API boundary.  Shared by
-    :func:`scj_mmjoin` and
+    One mask over the pipeline's
+    :class:`~repro.data.pairblock.CountedPairBlock` — each ordered witness
+    count against the size of its contained set, looked up in ``family``'s
+    CSR degrees; the surviving rows stay a block inside the
+    :class:`SCJResult`.  Shared by :func:`scj_mmjoin` and
     :meth:`repro.serve.session.QuerySession.containment`.
     """
     a_col, b_col = counted.columns
-    overlaps = counted.counts
-    # Vectorized |a| lookup: one Python-level gather over the distinct
-    # contained ids instead of one dict probe per output pair.
-    uniq_a, inverse = np.unique(a_col, return_inverse=True)
-    default_size = 0 if self_join else 1
-    required = np.fromiter(
-        (sizes.get(int(v), default_size) for v in uniq_a),
-        count=uniq_a.size,
-        dtype=np.int64,
-    )[inverse] if uniq_a.size else np.empty(0, dtype=np.int64)
-    keep = overlaps >= required
+    # A canonical block holds each contained id as one run: look |a| up once
+    # per run, not once per pair.
+    starts = run_starts(a_col)
+    sizes = family.relation.csr_x().degrees_of(a_col[starts])
+    keep = counted.counts >= np.repeat(sizes, np.diff(starts, append=a_col.size))
     if self_join:
         keep &= a_col != b_col
-    pairs = set(zip(a_col[keep].tolist(), b_col[keep].tolist()))
     return SCJResult(
-        pairs=pairs,
+        block=PairBlock((a_col[keep], b_col[keep]), deduped=counted.deduped),
         method="mmjoin",
         timings=timings if timings is not None else {"total": seconds},
     )
@@ -150,7 +153,7 @@ def scj_mmjoin(
     counted = state.result_counted
     assert counted is not None
     return scj_from_counted(
-        counted, family.sizes(), self_join=self_join,
+        counted, family, self_join=self_join,
         timings={"total": time.perf_counter() - start, **state.timings},
     )
 

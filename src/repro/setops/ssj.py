@@ -26,8 +26,10 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Set, Tuple
 
+import numpy as np
+
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
-from repro.data.pairblock import CountedPairBlock
+from repro.data.pairblock import CountedPairBlock, lazy_view
 from repro.data.setfamily import SetFamily
 from repro.plan.planner import Planner
 from repro.plan.query import SimilarityJoinQuery
@@ -39,28 +41,39 @@ Pair = Tuple[int, int]
 SSJ_METHODS = ("mmjoin", "sizeaware", "sizeaware++")
 
 
-@dataclass
+@dataclass(repr=False, eq=False)  # either would materialise the views
 class SSJResult:
     """Result of a set-similarity join.
 
-    ``pairs`` holds canonical pairs ``(a, b)`` with ``a < b``; ``counts``
-    holds the exact overlap for every output pair when the method computes it
-    (MMJoin and SizeAware++ do, plain SizeAware only for heavy pairs).
+    The MMJoin-based methods hand back :attr:`block`, the surviving rows of
+    the pipeline's :class:`~repro.data.pairblock.CountedPairBlock` in
+    canonical order: ``len()`` is its length, ``in`` a binary search in it,
+    and ``pairs`` / ``counts`` / iteration are Python views built from it on
+    first read and cached.  The Python-native baselines pass ``pairs`` /
+    ``counts`` ready-made and leave ``block`` ``None``.
+
+    A self-join holds canonical pairs ``(a, b)`` with ``a < b``, a two-family
+    join ordered ``(id in family, id in other)`` pairs.  ``counts`` holds the
+    exact overlap of every pair the method computed it for (MMJoin and
+    SizeAware++: all; plain SizeAware: heavy pairs only).
     """
 
-    pairs: Set[Pair]
-    counts: Dict[Pair, int] = field(default_factory=dict)
+    pairs: Optional[Set[Pair]] = lazy_view("block", "to_set", default=set)
+    counts: Optional[Dict[Pair, int]] = lazy_view("block", "to_dict", default=dict)
     method: str = "mmjoin"
     overlap: int = 1
     heavy_sets: int = 0
     light_sets: int = 0
     timings: Dict[str, float] = field(default_factory=dict)
+    block: Optional[CountedPairBlock] = None
+    self_join: bool = True
 
     def __len__(self) -> int:
-        return len(self.pairs)
+        return len(self.pairs if self.block is None else self.block)
 
     def __contains__(self, pair: Pair) -> bool:
-        return _canonical(pair) in self.pairs
+        pair = _canonical(pair) if self.self_join else (int(pair[0]), int(pair[1]))
+        return pair in self.pairs if self.block is None else self.block.find(pair) >= 0
 
     def __iter__(self):
         return iter(self.pairs)
@@ -112,10 +125,10 @@ def ssj_from_counted(
 ) -> SSJResult:
     """Apply the overlap threshold to a counted join-project result.
 
-    The threshold filter and the self-join's unordered-pair selection run
-    columnar on the pipeline's
-    :class:`~repro.data.pairblock.CountedPairBlock`; the Python set/dict of :class:`SSJResult` materialise once, here, at the API
-    boundary.  Shared by :func:`ssj_mmjoin` and
+    One mask over the pipeline's
+    :class:`~repro.data.pairblock.CountedPairBlock` and one filter; the
+    surviving rows stay a block inside the :class:`SSJResult`, so no Python
+    tuple is built here.  Shared by :func:`ssj_mmjoin` and
     :meth:`repro.serve.session.QuerySession.similarity` (whose memoized
     counting join is threshold-independent, so sweeping ``c`` reuses it).
     """
@@ -126,13 +139,12 @@ def ssj_from_counted(
         # the same overlap — and already in canonical order, so its a < b
         # half is the unordered result: no canonicalising re-sort.
         keep &= a_col < b_col
-    counts = counted.filter(keep).to_dict()
     return SSJResult(
-        pairs=set(counts),
-        counts=counts,
+        block=counted.filter(keep),
         method="mmjoin",
         overlap=c,
         timings=timings if timings is not None else {"total": seconds},
+        self_join=self_join,
     )
 
 
@@ -262,13 +274,22 @@ def ssj_sizeaware_plus(
     index = InvertedIndex(family)
     timings: Dict[str, float] = {}
 
+    # The MMJoin parts stay blocks; the Python-native parts fill the sets.
+    blocks: List[CountedPairBlock] = []
+    pairs: Set[Pair] = set()
+    counts: Dict[Pair, int] = {}
+
     # Heavy phase ----------------------------------------------------------
     phase = time.perf_counter()
     if heavy_mm and heavy_ids:
         heavy_family = family.restrict(heavy_ids, name="R_h")
-        join = ssj_mmjoin(family, c, other=heavy_family, config=config)
-        pairs = {_canonical(p) for p in join.pairs if p[0] != p[1]}
-        counts = {_canonical(p): v for p, v in join.counts.items() if p[0] != p[1]}
+        joined = ssj_mmjoin(family, c, other=heavy_family, config=config).block
+        a_col, b_col = joined.columns
+        # Ordered (any, heavy) pairs: drop the diagonal and canonicalise; a
+        # heavy-heavy pair then appears twice with one overlap (merged below).
+        blocks.append(CountedPairBlock(
+            (np.minimum(a_col, b_col), np.maximum(a_col, b_col)), joined.counts
+        ).filter(a_col != b_col))
     else:
         pairs, counts = _heavy_pairs_bruteforce(family, index, heavy_ids, c)
     timings["heavy"] = time.perf_counter() - phase
@@ -277,9 +298,7 @@ def ssj_sizeaware_plus(
     phase = time.perf_counter()
     if light_mm and light_ids:
         light_family = family.restrict(light_ids, name="R_l")
-        join = ssj_mmjoin(light_family, c, config=config)
-        pairs |= join.pairs
-        counts.update(join.counts)
+        blocks.append(ssj_mmjoin(light_family, c, config=config).block)
     elif prefix and light_ids:
         light_pairs, light_counts = _light_pairs_prefix(
             family, index, light_ids, c, prefix_depth
@@ -290,16 +309,21 @@ def ssj_sizeaware_plus(
         pairs |= _light_pairs_subsets(family, light_ids, c)
     timings["light"] = time.perf_counter() - phase
 
+    block = CountedPairBlock.concat_all(blocks).dedup("max")
     timings["total"] = time.perf_counter() - start
-    return SSJResult(
-        pairs=pairs,
-        counts=counts,
+    result = SSJResult(
         method="sizeaware++",
         overlap=c,
         heavy_sets=len(heavy_ids),
         light_sets=len(light_ids),
         timings=timings,
     )
+    if pairs:  # a Python-native part found pairs: the union is Python sets
+        result.pairs = pairs | block.to_set()
+        result.counts = {**counts, **block.to_dict()}
+    else:
+        result.block = block
+    return result
 
 
 # --------------------------------------------------------------------------- #

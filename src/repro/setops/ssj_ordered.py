@@ -13,39 +13,50 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from functools import cached_property
+from typing import Dict, List, Tuple
+
+import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
+from repro.data.pairblock import CountedPairBlock
 from repro.data.setfamily import SetFamily
-from repro.setops.ssj import (
-    SSJ_METHODS,
-    SSJResult,
-    ssj_mmjoin,
-    ssj_sizeaware,
-    ssj_sizeaware_plus,
-)
+from repro.setops.ssj import set_similarity_join
 
 Pair = Tuple[int, int]
 
 
 @dataclass
 class OrderedSSJResult:
-    """Similar pairs sorted by decreasing overlap."""
+    """Similar pairs sorted by decreasing overlap (ties: ascending pair).
 
-    ordered_pairs: List[Tuple[Pair, int]]
+    ``ranked`` holds the rows in that order as a counted block; Python tuples
+    are built only for the rows a caller asks for — :meth:`top` for a prefix,
+    ``ordered_pairs`` / iteration / :meth:`pairs` for all of them.
+    """
+
+    ranked: CountedPairBlock
     method: str
     overlap: int
     timings: Dict[str, float] = field(default_factory=dict)
 
     def __len__(self) -> int:
-        return len(self.ordered_pairs)
+        return len(self.ranked)
 
     def __iter__(self):
         return iter(self.ordered_pairs)
 
     def top(self, k: int) -> List[Tuple[Pair, int]]:
         """The k most similar pairs."""
-        return self.ordered_pairs[: max(int(k), 0)]
+        k = max(int(k), 0)
+        a_col, b_col = self.ranked.columns
+        return list(zip(zip(a_col[:k].tolist(), b_col[:k].tolist()),
+                        self.ranked.counts[:k].tolist()))
+
+    @cached_property
+    def ordered_pairs(self) -> List[Tuple[Pair, int]]:
+        """Every ``((a, b), overlap)``, most similar first."""
+        return self.top(len(self))
 
     def pairs(self) -> List[Pair]:
         """Just the pairs, most similar first."""
@@ -65,36 +76,28 @@ def ordered_set_similarity_join(
     the missing overlaps before sorting, which is exactly the extra cost the
     paper attributes to them in Figures 5e/5f.
     """
-    if method not in SSJ_METHODS:
-        raise ValueError(f"unknown SSJ method {method!r}; choose one of {SSJ_METHODS}")
     start = time.perf_counter()
-    if method == "mmjoin":
-        unordered = ssj_mmjoin(family, c, config=config)
-    elif method == "sizeaware":
-        unordered = ssj_sizeaware(family, c)
-    else:
-        unordered = ssj_sizeaware_plus(family, c, config=config)
-    verify_time = 0.0
-    counts = dict(unordered.counts)
-    missing = [pair for pair in unordered.pairs if pair not in counts]
-    if missing:
-        verify_start = time.perf_counter()
-        for a, b in missing:
+    unordered = set_similarity_join(family, c=c, method=method, config=config)
+    verify_start = time.perf_counter()
+    block = unordered.block
+    if block is None:
+        counts = dict(unordered.counts)
+        for a, b in unordered.pairs - counts.keys():
             counts[(a, b)] = family.intersection_size(a, b)
-        verify_time = time.perf_counter() - verify_start
+        block = CountedPairBlock.from_dict(counts).dedup("max")
     sort_start = time.perf_counter()
-    ordered = sorted(counts.items(), key=lambda item: (-item[1], item[0]))
-    sort_time = time.perf_counter() - sort_start
+    # The block is in ascending pair order, so the row index breaks ties the
+    # way the pair would: one plain sort of (descending overlap, index) keys.
+    (a_col, b_col), overlaps, n = block.columns, block.counts, len(block)
+    keys = (int(overlaps.max(initial=0)) - overlaps) * n + np.arange(n)
+    keys.sort()
+    order = keys % n
+    ranked = CountedPairBlock((a_col[order], b_col[order]), overlaps[order], deduped=True)
     timings = dict(unordered.timings)
-    timings["verify"] = verify_time
-    timings["sort"] = sort_time
+    timings["verify"] = sort_start - verify_start
+    timings["sort"] = time.perf_counter() - sort_start
     timings["total"] = time.perf_counter() - start
-    return OrderedSSJResult(
-        ordered_pairs=[(pair, count) for pair, count in ordered],
-        method=method,
-        overlap=c,
-        timings=timings,
-    )
+    return OrderedSSJResult(ranked=ranked, method=method, overlap=c, timings=timings)
 
 
 def top_k_similar(

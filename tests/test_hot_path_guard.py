@@ -1,4 +1,5 @@
-"""Deterministic guard: the cold path dedups by sorting packed keys, twice at most.
+"""Deterministic guard: the cold path dedups by sorting packed keys, twice at most,
+and the set joins build no Python tuple inside a query.
 
 ``np.unique`` (a stable argsort plus gathers once ``return_index`` is asked
 for) and ``np.lexsort`` are what the result layer used to deduplicate with;
@@ -13,11 +14,13 @@ import numpy as np
 import pytest
 from test_scaling_guard import dense_rows, sparse_rows
 
+from repro.cli import _serve_command
 from repro.data.pairblock import CountedPairBlock, PairBlock
 from repro.data.relation import Relation
 from repro.data.setfamily import SetFamily
 from repro.joins.hash_join import hash_join_project
 from repro.serve import QuerySession
+from repro.setops.scj import scj_bruteforce
 from repro.setops.ssj import ssj_bruteforce
 
 
@@ -30,6 +33,19 @@ def forbidden_sorts(monkeypatch):
 
     monkeypatch.setattr(np, "unique", forbidden("unique"))
     monkeypatch.setattr(np, "lexsort", forbidden("lexsort"))
+
+
+@pytest.fixture
+def forbidden_views(monkeypatch):
+    """The boundary conversions raise until the returned ``allow()`` is called."""
+    def raiser(self):
+        raise AssertionError("a block was turned into Python tuples inside a query")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(PairBlock, "to_set", raiser)
+        patch.setattr(CountedPairBlock, "to_set", raiser)
+        patch.setattr(CountedPairBlock, "to_dict", raiser)
+        yield patch.undo
 
 
 @pytest.fixture
@@ -76,3 +92,34 @@ def test_cold_similarity_sorts_keys_only(forbidden_sorts, dedup_calls):
     assert 1 <= dedup_calls["counted"] <= 2, dedup_calls
     assert dedup_calls["pairs"] == 0, dedup_calls
     assert result.counts == expected.counts
+
+
+def test_set_joins_stay_columnar(forbidden_sorts, forbidden_views, capsys):
+    rows = dense_rows(1)
+    # Set 1000 + i is set i cut down to its elements below 6, so it is contained in it.
+    rows = np.concatenate([rows, rows[rows[:, 1] < 6] + [1000, 0]])
+    family = SetFamily.from_relation(Relation(rows, name="F"))
+    with QuerySession() as session:
+        session.register_family(family, name="F")
+        session.register(family.relation, name="R")
+        sweep = {c: session.similarity("F", c=c) for c in (2, 12, 1)}
+        contained = session.containment("F")
+        assert _serve_command(session, "ssj 2") and _serve_command(session, "scj")
+    result = sweep[2]
+    out = capsys.readouterr().out
+    assert "error" not in out
+    assert f"ssj(c=2): {len(result)} similar pairs" in out
+    assert f"scj: {len(contained)} containment pairs" in out
+    expected = {c: ssj_bruteforce(family, c=c) for c in sweep}
+    assert [len(sweep[c]) for c in sweep] == [len(expected[c]) for c in sweep]
+    some_pair = next(iter(expected[2].pairs))
+    assert some_pair in result and some_pair[::-1] in result
+    assert (0, 0) not in result and (10**9, 3) not in result
+    expected_scj = scj_bruteforce(family, family)
+    assert len(contained) == len(expected_scj)
+    assert all(pair in contained for pair in list(expected_scj.pairs)[:20])
+    forbidden_views()  # the caller's reads are allowed to materialise
+    for c in sweep:
+        assert sweep[c].counts == expected[c].counts
+        assert sweep[c].pairs == expected[c].pairs
+    assert contained.pairs == expected_scj.pairs

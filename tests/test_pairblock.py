@@ -25,7 +25,13 @@ from strategies import (
 from repro.core.config import MMJoinConfig
 from repro.core.partitioning import partition_two_path
 from repro.core.two_path import two_path_join, two_path_join_counts
-from repro.data.pairblock import MAX_KEY_BITS, CountedPairBlock, KeyLayout, PairBlock
+from repro.data.pairblock import (
+    MAX_KEY_BITS,
+    CountedPairBlock,
+    KeyLayout,
+    PairBlock,
+    lazy_view,
+)
 from repro.data.relation import Relation
 from repro.joins.baseline import (
     combinatorial_star,
@@ -115,6 +121,37 @@ class TestPairBlockSetSemantics:
             hash(PairBlock.from_pairs([(1, 2)]))
 
 
+class TestLazyView:
+    class Owner:
+        pairs = lazy_view("block", "to_set", default=set)
+        counts = lazy_view("counted", "to_dict")
+
+        def __init__(self, block=None, counted=None):
+            self.block, self.counted = block, counted
+
+    def test_builds_once_from_the_block(self):
+        owner = self.Owner(PairBlock.from_pairs([(1, 2), (3, 4)]),
+                           CountedPairBlock.from_dict({(1, 2): 5}))
+        assert owner.pairs == {(1, 2), (3, 4)} and owner.pairs is owner.pairs
+        assert owner.counts == {(1, 2): 5} and owner.counts is owner.counts
+        assert self.Owner(owner.block).pairs is not owner.pairs
+
+    def test_reads_the_default_until_there_is_a_block(self):
+        owner = self.Owner()
+        assert owner.pairs == set() and owner.counts is None
+        owner.block = PairBlock.from_pairs([(7, 8)])
+        assert owner.pairs == {(7, 8)}
+
+    def test_assignment_stores_a_ready_made_view(self):
+        owner = self.Owner(PairBlock.from_pairs([(1, 2)]))
+        ready = {(9, 9)}
+        owner.pairs = ready
+        assert owner.pairs is ready
+        owner.pairs = None  # back to the block
+        assert owner.pairs == {(1, 2)}
+        assert self.Owner.pairs is None  # what a dataclass reads as the default
+
+
 class TestCountedBlockSemantics:
     @settings(max_examples=60, deadline=None)
     @given(rows=pair_lists(max_size=200))
@@ -187,6 +224,18 @@ def _rows_of(block):
 @pytest.mark.parametrize("arity", ARITIES)
 class TestKeyNativeBlocks:
     """Packed keys are a representation, never a change of meaning."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_find_is_the_position_in_canonical_order(self, arity, data):
+        rows = data.draw(any_domain_tuples(arity))
+        block = _block(rows, arity).dedup()
+        counted = CountedPairBlock.of(block, np.arange(len(block)))
+        canonical = sorted(set(rows))
+        for position, row in enumerate(canonical):
+            assert block.find(row) == position == counted.find(row)
+        for row in data.draw(any_domain_tuples(arity, max_size=10)):
+            assert (block.find(row) >= 0) == (row in set(rows))
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
