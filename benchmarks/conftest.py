@@ -8,8 +8,8 @@ EXPERIMENTS.md can be traced back to a concrete run.
 Recording is **opt-in**: pass ``--record-results`` (or set
 ``REPRO_BENCH_RECORD=1``).  A plain ``pytest`` run — the tier-1 command
 collects this directory too — formats and asserts exactly the same rows but
-writes nothing, so it leaves ``benchmarks/results/`` (tracked files, and the
-ledger the regression gate reads) untouched.
+writes nothing, so it leaves ``benchmarks/results/`` (tracked files)
+untouched.
 """
 
 from __future__ import annotations

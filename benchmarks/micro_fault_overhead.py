@@ -39,11 +39,10 @@ and the headline is the **median of paired differences** — outlier pairs
     ``fault_free_overhead_pct = 100 * median(armed_i - bare_i) / median(bare_i)``
     ``fault_free_warm_speedup = bare_median / (bare_median + median_diff)``
 
-recorded into ``BENCH_micro.json`` (the ``*_speedup`` key is covered by
-the CI regression gate) with the acceptance bar **<= 5 %** overhead
-asserted by ``test_micro_fault_overhead.py``.  Set ``REPRO_BENCH_QUICK=1``
-for the CI smoke mode (smaller workload, ``quick_mode: true`` — skipped
-by the gate).
+recorded into ``BENCH_micro.json`` with the acceptance bar **<= 5 %**
+overhead asserted by ``test_micro_fault_overhead.py``.  Set
+``REPRO_BENCH_QUICK=1`` for the CI smoke mode (smaller workload,
+``quick_mode: true``).
 """
 
 from __future__ import annotations

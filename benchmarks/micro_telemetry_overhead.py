@@ -29,11 +29,10 @@ and the headline is the **median of paired differences** — outlier pairs
     ``telemetry_overhead_pct = 100 * median(enabled_i - disabled_i) / median(disabled_i)``
     ``telemetry_warm_speedup = disabled_median / (disabled_median + median_diff)``
 
-recorded into ``BENCH_micro.json`` (the ``*_speedup`` key is covered by the
-CI regression gate) with the acceptance bar **<= 5 %** overhead asserted by
-``test_micro_telemetry_overhead.py``.  Set ``REPRO_BENCH_QUICK=1`` for the
-CI smoke mode (smaller workload, ``quick_mode: true`` — skipped by the
-gate).
+recorded into ``BENCH_micro.json`` with the acceptance bar **<= 5 %**
+overhead asserted by ``test_micro_telemetry_overhead.py``.  Set
+``REPRO_BENCH_QUICK=1`` for the CI smoke mode (smaller workload,
+``quick_mode: true``).
 """
 
 from __future__ import annotations

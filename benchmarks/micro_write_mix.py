@@ -21,10 +21,10 @@ identical final pair sets.  The headline metric is
 
     ``write_mix_speedup = baseline_seconds / delta_seconds``
 
-recorded into ``BENCH_micro.json`` (covered by the ``*_speedup`` CI
-regression gate); ``test_micro_write_mix.py`` asserts the acceptance bar on
-``delta_seconds`` itself (<= 46 ms and below the baseline).  Set ``REPRO_BENCH_QUICK=1`` for the CI smoke
-mode (smaller workload, ``quick_mode: true`` — skipped by the gate).
+recorded into ``BENCH_micro.json``; ``test_micro_write_mix.py`` asserts the
+acceptance bar on ``delta_seconds`` itself (<= 46 ms and below the baseline).
+Set ``REPRO_BENCH_QUICK=1`` for the CI smoke mode (smaller workload,
+``quick_mode: true``).
 """
 
 from __future__ import annotations

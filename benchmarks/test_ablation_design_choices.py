@@ -1,10 +1,9 @@
 """Ablation benchmarks for the design choices called out in DESIGN.md.
 
-Three knobs of the MMJoin pipeline are isolated:
+Two knobs of the MMJoin pipeline are isolated:
 
 * dense vs sparse matrix backend for the heavy residual,
-* the cost-based optimizer vs fixed degree thresholds,
-* the light-part deduplication strategy (hash set vs sort vs counter array).
+* the cost-based optimizer vs fixed degree thresholds.
 
 Each ablation verifies that the output is identical across variants (the
 knobs are pure performance choices) and records the measured times.
@@ -16,7 +15,6 @@ from repro.bench.datasets import bench_dataset
 from repro.bench.runner import time_call
 from repro.core.config import MMJoinConfig
 from repro.core.two_path import two_path_join
-from repro.joins.baseline import combinatorial_two_path
 
 DATASET = "jokes"
 
@@ -99,31 +97,3 @@ def test_ablation_optimizer_table(benchmark, record_rows):
     best_fixed = min(by_label["fixed_small"]["seconds"], by_label["fixed_large"]["seconds"])
     assert by_label["optimizer"]["seconds"] <= 5 * best_fixed
 
-
-@pytest.mark.parametrize("strategy", ["hash", "sort", "counter", "auto"])
-def test_ablation_dedup_strategy(benchmark, strategy):
-    relation = bench_dataset(DATASET)
-    result = benchmark(combinatorial_two_path, relation, relation, strategy)
-    assert len(result) > 0
-
-
-def test_ablation_dedup_strategy_table(benchmark, record_rows):
-    def build_rows():
-        relation = bench_dataset(DATASET)
-        rows = []
-        reference = None
-        for strategy in ("hash", "sort", "counter", "auto"):
-            measurement = time_call(
-                combinatorial_two_path, relation, relation, strategy, repeats=1
-            )
-            if reference is None:
-                reference = measurement.value
-            else:
-                assert measurement.value == reference
-            rows.append({"strategy": strategy, "seconds": measurement.seconds})
-        return rows
-
-    rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
-    text = record_rows("ablation_dedup_strategy", rows,
-                       title="Ablation: light-part dedup strategy (jokes)")
-    print("\n" + text)

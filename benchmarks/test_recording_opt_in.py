@@ -1,8 +1,7 @@
 """Result recording is opt-in: a plain run leaves ``benchmarks/results/`` alone.
 
 The tier-1 command collects this directory, so a recording fixture that
-wrote unconditionally would rewrite tracked files (and the regression gate's
-ledger) on every ``pytest``.
+wrote unconditionally would rewrite tracked files on every ``pytest``.
 """
 
 import hashlib

@@ -1,11 +1,14 @@
-"""Setuptools shim.
+"""Package metadata (``src`` layout; there is no ``pyproject.toml``)."""
 
-The canonical project metadata lives in ``pyproject.toml``; this file exists
-so the package can be installed editable (``pip install -e .``) in offline
-environments where PEP 517 build isolation cannot download build
-dependencies.
-"""
+from setuptools import find_packages, setup
 
-from setuptools import setup
-
-setup()
+setup(
+    name="repro",
+    version="1.2.0",  # repro.__version__; tests/test_cli.py checks they agree
+    description="Join-project query evaluation using matrix multiplication",
+    package_dir={"": "src"},
+    packages=find_packages("src"),
+    python_requires=">=3.11",
+    install_requires=["numpy", "scipy"],
+    entry_points={"console_scripts": ["repro-cli = repro.cli:main"]},
+)

@@ -10,8 +10,8 @@ This package is a from-scratch Python reproduction of the system described in
 * ``repro.joins`` — worst-case optimal join algorithms (hash, sort-merge,
   leapfrog-style multiway intersection, generic join) and the combinatorial
   output-sensitive baseline.
-* ``repro.matmul`` — dense/sparse/blocked/Strassen matrix multiplication
-  kernels and a calibrated cost model.
+* ``repro.matmul`` — dense (BLAS) and sparse (CSR) matrix multiplication
+  kernels behind a backend registry, and a calibrated cost model.
 * ``repro.core`` — the paper's contribution: degree partitioning, the MMJoin
   two-path and star algorithms, output-size estimation, the cost-based
   optimizer and the boolean-set-intersection batch scheduler.

@@ -2,16 +2,18 @@
 
 All tunables of the paper's prototype are gathered in one immutable dataclass
 so experiments (and the ablation benchmarks) can state exactly which variant
-they run.
+they run.  Every field changes the plan or an artifact derived from it, so
+the frozen (hashable, compared by value) config is itself the component of
+every session cache key — a new field is keyed without anyone listing it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 
-MATRIX_BACKENDS = ("dense", "sparse", "blocked", "strassen", "auto")
+MATRIX_BACKENDS = ("dense", "sparse", "auto")
 
 
 def _is_registered_backend(name: str) -> bool:
@@ -25,7 +27,7 @@ def _is_registered_backend(name: str) -> bool:
     except ImportError:  # pragma: no cover - registry is part of the package
         return False
     return name in default_registry()
-DEDUP_STRATEGIES = ("hash", "sort", "counter", "auto")
+
 
 EXTRACT_MODES = ("auto", "full", "tiled", "adaptive", "core")
 
@@ -49,21 +51,12 @@ class MMJoinConfig:
     matrix_backend:
         A backend name registered in the matmul
         :class:`~repro.matmul.registry.BackendRegistry` (``dense``,
-        ``sparse``, ``blocked``, ``strassen``) or ``auto``, which lets the
-        registry pick the cheapest auto-eligible backend via the calibrated
-        cost model.
-    sparse_density_threshold:
-        Legacy density cut-over, retained for the ablation benchmarks that
-        sweep it; the registry's cost-model selection supersedes it.
-    dedup_strategy:
-        Strategy for light-part deduplication (see
-        :class:`repro.joins.project.Deduplicator`).
+        ``sparse``, or one registered at runtime) or ``auto``, which lets
+        the registry pick the cheapest backend via the calibrated cost
+        model.
     cores:
         Number of cores the parallel executor may use; also fed to the
         matmul cost model.
-    optimizer_shrink:
-        Geometric factor by which the optimizer shrinks ``delta1`` per
-        iteration (the paper's ``1 - epsilon``).
     max_heavy_dimension:
         Safety cap on the number of heavy values per matrix dimension; keeps
         the dense matrices within memory on very skewed inputs.
@@ -92,10 +85,7 @@ class MMJoinConfig:
     delta2: Optional[int] = None
     full_join_factor: float = 20.0
     matrix_backend: str = "auto"
-    sparse_density_threshold: float = 0.05
-    dedup_strategy: str = "auto"
     cores: int = 1
-    optimizer_shrink: float = 0.5
     max_heavy_dimension: int = 20_000
     extract_tile_rows: Optional[int] = None
     extract_mode: str = "auto"
@@ -109,12 +99,6 @@ class MMJoinConfig:
                 f"matrix_backend must be one of {MATRIX_BACKENDS} or a backend "
                 f"registered in the matmul BackendRegistry, got {self.matrix_backend!r}"
             )
-        if self.dedup_strategy not in DEDUP_STRATEGIES:
-            raise ValueError(
-                f"dedup_strategy must be one of {DEDUP_STRATEGIES}, got {self.dedup_strategy!r}"
-            )
-        if not (0.0 < self.optimizer_shrink < 1.0):
-            raise ValueError("optimizer_shrink must lie strictly between 0 and 1")
         if self.full_join_factor <= 0:
             raise ValueError("full_join_factor must be positive")
         if self.cores < 1:
@@ -131,27 +115,6 @@ class MMJoinConfig:
             raise ValueError(
                 f"extract_mode must be one of {EXTRACT_MODES}, got {self.extract_mode!r}"
             )
-
-    def cache_signature(self) -> tuple:
-        """The fields that can change a plan or its derived artifacts.
-
-        Session caches (partitions, matmul operands, plan memos) embed this
-        tuple in their keys so evaluations under different knobs never share
-        an artifact that depends on those knobs.
-        """
-        return (
-            self.delta1,
-            self.delta2,
-            self.full_join_factor,
-            self.matrix_backend,
-            self.dedup_strategy,
-            self.cores,
-            self.optimizer_shrink,
-            self.max_heavy_dimension,
-            self.extract_tile_rows,
-            self.extract_mode,
-            self.use_optimizer,
-        )
 
     def with_thresholds(self, delta1: int, delta2: int) -> "MMJoinConfig":
         """Return a copy with fixed degree thresholds."""

@@ -34,6 +34,10 @@ from repro.matmul.cost_model import MatMulCostModel
 # only reached on extremely skewed inputs.
 STAR_SEARCH_CAP = 200
 
+# Geometric factor by which the two-path search shrinks ``delta1`` per
+# iteration (the paper's ``1 - epsilon``).
+THRESHOLD_SHRINK = 0.5
+
 
 @dataclass(frozen=True)
 class CostConstants:
@@ -114,7 +118,7 @@ class CostBasedOptimizer:
                 # Cost started growing again: the previous iterate was the minimum.
                 break
             prev_total = total
-            delta1 *= self.config.optimizer_shrink
+            delta1 *= THRESHOLD_SHRINK
 
         assert best is not None
         total, d1, d2, light, heavy = best

@@ -23,7 +23,7 @@ import math
 from dataclasses import dataclass
 from typing import Dict, Tuple
 
-from repro.matmul.blocked import rectangular_cost
+from repro.matmul.cost_model import rectangular_cost
 
 # The best known matrix multiplication exponent cited by the paper.
 OMEGA_BEST_KNOWN = 2.373

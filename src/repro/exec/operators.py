@@ -179,7 +179,7 @@ class LightHeavyPartition(PhysicalOperator):
     """Consult the optimizer, then split the inputs by degree thresholds.
 
     Session-aware: the optimizer decision and the partition are cached by
-    (relation tokens, mode, config signature) — repeated queries skip both
+    (relation tokens, mode, config) — repeated queries skip both
     the threshold search and the degree-based split.
     """
 
@@ -193,8 +193,7 @@ class LightHeavyPartition(PhysicalOperator):
         ctx = state.session
         in_bytes = _relation_bytes(state.relations)
         key = (
-            ctx.key("partition", state.relations, state.mode,
-                    state.config.cache_signature())
+            ctx.key("partition", state.relations, state.mode, state.config)
             if ctx is not None else None
         )
         if key is not None:
@@ -331,9 +330,7 @@ class CombinatorialLight(PhysicalOperator):
             )
         else:
             state.light_block = combinatorial_two_path_block(
-                state.relations[0],
-                state.relations[1],
-                dedup_strategy=state.config.dedup_strategy,
+                state.relations[0], state.relations[1]
             )
 
     # -- light sub-joins ---------------------------------------------------
@@ -399,7 +396,7 @@ class MatMulHeavy(PhysicalOperator):
 
     Session-aware: the operand matrices (dense adjacency / CSR, per backend)
     and the star query's grouped matrices are cached by (relation tokens,
-    mode, config signature, backend) — a warm query pays only the product
+    mode, config, backend) — a warm query pays only the product
     and the non-zero extraction.
     """
 
@@ -419,8 +416,8 @@ class MatMulHeavy(PhysicalOperator):
         ctx = state.session
         if ctx is None:
             return None, 0.0, None
-        key = ctx.key("operands", state.relations, state.mode,
-                      state.config.cache_signature(), backend.name)
+        key = ctx.key("operands", state.relations, state.mode, state.config,
+                      backend.name)
         if key is None:
             return None, 0.0, None
         found, operands = ctx.artifacts.lookup(key)
@@ -496,8 +493,7 @@ class MatMulHeavy(PhysicalOperator):
         """
         ctx = state.session
         key = (
-            ctx.key("dense_core_map", state.relations, state.mode,
-                    state.config.cache_signature())
+            ctx.key("dense_core_map", state.relations, state.mode, state.config)
             if ctx is not None else None
         )
         if key is not None:
@@ -522,6 +518,43 @@ class MatMulHeavy(PhysicalOperator):
                                          rows, cols, v)
         return mode, mapping, self._density_hint(state, u, w)
 
+    def _heavy_product(self, state: ExecutionState, left_heavy, right_heavy,
+                       rows, mids, cols):
+        """Evaluate one heavy residual of ``state.matrix_dims`` on a backend.
+
+        Backend selection, session-cached operands, extraction arguments, the
+        product itself and the ``explain()`` detail; returns the pair block,
+        or the counted block in counting mode.
+        """
+        dims = state.matrix_dims
+        backend = self._select(state, dims, len(left_heavy), len(right_heavy))
+        operands, cached_build, cache_status = self._cached_operands(
+            state, backend,
+            lambda: backend.build_operands(left_heavy, right_heavy, rows, mids, cols),
+        )
+        extract_mode, mapping, density_hint = self._extraction_args(
+            state, dims, left_heavy, right_heavy, rows, cols
+        )
+        extract_stats: Dict[str, Any] = {}
+        evaluate = (
+            backend.heavy_counts if state.mode == MODE_COUNTS else backend.heavy_pairs
+        )
+        block, build_seconds, multiply_seconds = evaluate(
+            left_heavy, right_heavy, rows, mids, cols,
+            cores=state.config.cores, operands=operands,
+            tile_rows=state.config.extract_tile_rows, extract_stats=extract_stats,
+            extract_mode=extract_mode, mapping=mapping, density_hint=density_hint,
+            layout=state.layout,
+        )
+        if cache_status is not None:
+            self.detail["cache"] = cache_status
+            build_seconds = cached_build
+        self.detail["build_seconds"] = build_seconds
+        self.detail["multiply_seconds"] = multiply_seconds
+        self.detail["heavy_pairs"] = len(block)
+        self.detail.update(extract_stats)
+        return block
+
     def _run_pairs(self, state: ExecutionState) -> None:
         partition = state.partition
         rows, mids, cols = partition.heavy_x, partition.heavy_y, partition.heavy_z
@@ -531,34 +564,9 @@ class MatMulHeavy(PhysicalOperator):
             self.detail["build_seconds"] = 0.0
             self.detail["multiply_seconds"] = 0.0
             return
-        backend = self._select(
-            state, dims, len(partition.r_heavy), len(partition.s_heavy)
+        state.heavy_block = self._heavy_product(
+            state, partition.r_heavy, partition.s_heavy, rows, mids, cols
         )
-        operands, cached_build, cache_status = self._cached_operands(
-            state, backend,
-            lambda: backend.build_operands(
-                partition.r_heavy, partition.s_heavy, rows, mids, cols
-            ),
-        )
-        extract_mode, mapping, density_hint = self._extraction_args(
-            state, dims, partition.r_heavy, partition.s_heavy, rows, cols
-        )
-        extract_stats: Dict[str, Any] = {}
-        block, build_seconds, multiply_seconds = backend.heavy_pairs(
-            partition.r_heavy, partition.s_heavy, rows, mids, cols,
-            cores=state.config.cores, operands=operands,
-            tile_rows=state.config.extract_tile_rows, extract_stats=extract_stats,
-            extract_mode=extract_mode, mapping=mapping, density_hint=density_hint,
-            layout=state.layout,
-        )
-        if cache_status is not None:
-            self.detail["cache"] = cache_status
-            build_seconds = cached_build
-        state.heavy_block = block
-        self.detail["build_seconds"] = build_seconds
-        self.detail["multiply_seconds"] = multiply_seconds
-        self.detail["heavy_pairs"] = len(block)
-        self.detail.update(extract_stats)
 
     def _run_counts(self, state: ExecutionState) -> None:
         partition = state.partition
@@ -572,8 +580,7 @@ class MatMulHeavy(PhysicalOperator):
         ctx = state.session
         inputs = None
         inputs_key = (
-            ctx.key("heavy_inputs", state.relations, state.mode,
-                    state.config.cache_signature())
+            ctx.key("heavy_inputs", state.relations, state.mode, state.config)
             if ctx is not None else None
         )
         if inputs_key is not None:
@@ -592,30 +599,9 @@ class MatMulHeavy(PhysicalOperator):
         cols = right_heavy.x_values()
         dims = (int(rows.size), int(heavy_y.size), int(cols.size))
         state.matrix_dims = dims
-        backend = self._select(state, dims, len(left_heavy), len(right_heavy))
-        operands, cached_build, cache_status = self._cached_operands(
-            state, backend,
-            lambda: backend.build_operands(left_heavy, right_heavy, rows, heavy_y, cols),
+        state.heavy_counted = self._heavy_product(
+            state, left_heavy, right_heavy, rows, heavy_y, cols
         )
-        extract_mode, mapping, density_hint = self._extraction_args(
-            state, dims, left_heavy, right_heavy, rows, cols
-        )
-        extract_stats: Dict[str, Any] = {}
-        counted, build_seconds, multiply_seconds = backend.heavy_counts(
-            left_heavy, right_heavy, rows, heavy_y, cols,
-            cores=state.config.cores, operands=operands,
-            tile_rows=state.config.extract_tile_rows, extract_stats=extract_stats,
-            extract_mode=extract_mode, mapping=mapping, density_hint=density_hint,
-            layout=state.layout,
-        )
-        if cache_status is not None:
-            self.detail["cache"] = cache_status
-            build_seconds = cached_build
-        state.heavy_counted = counted
-        self.detail["build_seconds"] = build_seconds
-        self.detail["multiply_seconds"] = multiply_seconds
-        self.detail["heavy_pairs"] = len(counted)
-        self.detail.update(extract_stats)
 
     def _run_star(self, state: ExecutionState) -> None:
         partition = state.partition
@@ -625,7 +611,7 @@ class MatMulHeavy(PhysicalOperator):
         split = (k + 1) // 2
         ctx = state.session
         key = (
-            ctx.key("star_operands", state.relations, state.config.cache_signature())
+            ctx.key("star_operands", state.relations, state.config)
             if ctx is not None else None
         )
         cached = None

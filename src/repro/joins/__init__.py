@@ -4,12 +4,6 @@ from repro.joins.hash_join import hash_join, hash_join_project
 from repro.joins.sort_merge import sort_merge_join, sort_merge_join_project
 from repro.joins.leapfrog import intersect_sorted, leapfrog_intersection, star_full_join
 from repro.joins.generic_join import generic_star_join, generic_star_join_project
-from repro.joins.project import (
-    Deduplicator,
-    dedup_pairs,
-    dedup_tuples,
-    project_join_counts,
-)
 from repro.joins.baseline import combinatorial_two_path, combinatorial_star
 
 __all__ = [
@@ -22,10 +16,6 @@ __all__ = [
     "star_full_join",
     "generic_star_join",
     "generic_star_join_project",
-    "Deduplicator",
-    "dedup_pairs",
-    "dedup_tuples",
-    "project_join_counts",
     "combinatorial_two_path",
     "combinatorial_star",
 ]

@@ -16,9 +16,7 @@ variants (:func:`combinatorial_two_path_block`,
 deduplicate with one plain sort of the packed keys of the resulting
 :class:`~repro.data.pairblock.PairBlock`.  The set-returning public functions
 are thin boundary wrappers kept for the baseline engines and the ablation
-benchmarks; the legacy per-x :class:`~repro.joins.project.Deduplicator` loop
-survives only for the explicit ``hash`` / ``counter`` dedup strategies the
-Figure 8 ablation isolates.
+benchmarks.
 """
 
 from __future__ import annotations
@@ -31,15 +29,13 @@ from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock, run_sta
 from repro.data.relation import Relation, head_layout
 from repro.errors import check_deadline
 from repro.joins.leapfrog import leapfrog_intersection
-from repro.joins.project import Deduplicator
 
 Pair = Tuple[int, int]
 
 # Cap on raw expansion rows materialised at once (two int64 columns per row:
 # ~64 MB per chunk).  Chunking keeps the peak memory of the full combinatorial
 # expansion output-sensitive — each chunk is deduplicated (or count-aggregated)
-# before the next one is built — matching the old per-x loop's memory profile
-# while staying fully vectorized.
+# before the next one is built — while staying fully vectorized.
 EXPANSION_CHUNK_ROWS = 1 << 22
 
 
@@ -168,23 +164,15 @@ def probe_pairs_block(
 def combinatorial_two_path_block(
     left: Relation,
     right: Relation,
-    dedup_strategy: str = "auto",
     chunk_rows: int = EXPANSION_CHUNK_ROWS,
 ) -> PairBlock:
     """Block-native ``pi_{x,z}(R |><| S)``: chunked expansion + dedup.
 
-    ``auto`` and ``sort`` run fully columnar, deduplicating per expansion
-    chunk so peak memory tracks the output, not the full join; the explicit
-    ``hash`` and ``counter`` strategies fall back to the per-x
-    :class:`Deduplicator` loop (they exist for the dedup-strategy ablation)
-    and convert at the end.
+    Fully columnar, deduplicating per expansion chunk so peak memory tracks
+    the output, not the full join.
     """
     if len(left) == 0 or len(right) == 0:
         return PairBlock.empty(2)
-    if dedup_strategy not in ("auto", "sort"):
-        return PairBlock.from_pairs(
-            _two_path_dedup_loop(left, right, dedup_strategy)
-        ).dedup()
     return probe_pairs_block(
         left.xs, left.ys, right, layout=head_layout([left, right]),
         chunk_rows=chunk_rows,
@@ -334,7 +322,6 @@ def cartesian_arrays(lists: Sequence[np.ndarray]) -> np.ndarray:
 def combinatorial_two_path(
     left: Relation,
     right: Relation,
-    dedup_strategy: str = "auto",
     with_counts: bool = False,
 ) -> Set[Pair] | Dict[Pair, int]:
     """Output-sensitive combinatorial evaluation of ``pi_{x,z}(R |><| S)``.
@@ -342,41 +329,10 @@ def combinatorial_two_path(
     Boundary wrapper over the columnar expansion: returns a Python set (or
     ``{(x, z): #witnesses}`` when ``with_counts`` is set) for the baseline
     engines and tests.
-
-    Parameters
-    ----------
-    dedup_strategy:
-        ``auto`` / ``sort`` run the columnar path; ``hash`` / ``counter``
-        keep the legacy per-x :class:`Deduplicator` loop for the ablation.
-    with_counts:
-        When true, return ``{(x, z): #witnesses}`` instead of a plain set.
     """
     if with_counts:
         return combinatorial_two_path_counted(left, right).to_dict()
-    return combinatorial_two_path_block(left, right, dedup_strategy).to_set()
-
-
-def _two_path_dedup_loop(
-    left: Relation, right: Relation, dedup_strategy: str
-) -> Set[Pair]:
-    """Legacy per-x merge loop, kept for the explicit dedup-strategy ablation."""
-    left_index = left.index_x()
-    right_index = right.index_y()
-    z_domain = int(right.x_values().max()) + 1 if len(right) else 0
-    dedup = Deduplicator(domain_size=z_domain, strategy=dedup_strategy)
-    output: Set[Pair] = set()
-    for x, ys in left_index.items():
-        chunks: List[np.ndarray] = []
-        for y in ys:
-            partners = right_index.get(int(y))
-            if partners is not None:
-                chunks.append(partners)
-        if not chunks:
-            continue
-        xi = int(x)
-        for z in dedup.dedup(chunks):
-            output.add((xi, int(z)))
-    return output
+    return combinatorial_two_path_block(left, right).to_set()
 
 
 def combinatorial_star(

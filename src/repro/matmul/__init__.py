@@ -11,9 +11,7 @@ from repro.matmul.dense import (
     nonzero_pairs,
 )
 from repro.matmul.sparse import sparse_count_matmul, sparse_boolean_matmul, build_sparse_adjacency
-from repro.matmul.blocked import blocked_matmul, rectangular_cost
-from repro.matmul.strassen import strassen_matmul
-from repro.matmul.cost_model import MatMulCostModel, theoretical_cost
+from repro.matmul.cost_model import MatMulCostModel, rectangular_cost, theoretical_cost
 from repro.matmul.tiling import (
     choose_tile_rows,
     extraction_plan,
@@ -40,9 +38,7 @@ __all__ = [
     "sparse_count_matmul",
     "sparse_boolean_matmul",
     "build_sparse_adjacency",
-    "blocked_matmul",
     "rectangular_cost",
-    "strassen_matmul",
     "MatMulCostModel",
     "theoretical_cost",
     "choose_tile_rows",

@@ -9,8 +9,8 @@ is run once per process and cached).
 
 Two models are exposed:
 
-* :func:`theoretical_cost` — the Lemma 1 operation count, used by the theory
-  module and by deterministic tests;
+* :func:`rectangular_cost` (alias :func:`theoretical_cost`) — the Lemma 1
+  operation count, used by the theory module and by deterministic tests;
 * :class:`MatMulCostModel` — the calibrated wall-clock model used by the
   cost-based optimizer, with a deterministic fallback (ops / throughput) so
   the optimizer remains usable without running calibration.
@@ -24,12 +24,22 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.matmul.blocked import rectangular_cost
+
+def rectangular_cost(u: float, v: float, w: float, omega: float = 3.0) -> float:
+    """Lemma 1 cost ``M(U, V, W) = U*V*W * beta^(omega - 3)``, beta = min(U,V,W).
+
+    If two ``n x n`` matrices multiply in ``O(n^omega)``, a ``U x V`` by
+    ``V x W`` product splits into ``beta x beta`` blocks multiplied
+    blockwise.  With ``omega = 3`` this is the classical ``U*V*W``; with
+    ``omega = 2`` it becomes ``U*V*W / beta``.
+    """
+    if u <= 0 or v <= 0 or w <= 0:
+        return 0.0
+    beta = min(u, v, w)
+    return float(u * v * w * (beta ** (omega - 3.0)))
 
 
-def theoretical_cost(u: float, v: float, w: float, omega: float = 3.0) -> float:
-    """Operation count of a rectangular product under exponent ``omega``."""
-    return rectangular_cost(u, v, w, omega=omega)
+theoretical_cost = rectangular_cost
 
 
 @dataclass

@@ -3,10 +3,10 @@
 The MMJoin pipeline used to hardcode ``if backend == "sparse": ... else ...``
 branches at every call site.  This module replaces those branches with a
 uniform :class:`MatMulBackend` interface wrapping each kernel family
-(dense/BLAS, sparse/CSR, blocked, Strassen) and a :class:`BackendRegistry`
-that resolves a configured backend name — or, for ``"auto"``, picks the
-cheapest *auto-eligible* backend by comparing per-backend cost estimates
-derived from :class:`~repro.matmul.cost_model.MatMulCostModel`.
+(dense/BLAS, sparse/CSR) and a :class:`BackendRegistry` that resolves a
+configured backend name — or, for ``"auto"``, picks the cheapest backend by
+comparing per-backend cost estimates derived from
+:class:`~repro.matmul.cost_model.MatMulCostModel`.
 
 Every backend answers the two questions the physical operators ask:
 
@@ -23,7 +23,6 @@ the config validation both consult :func:`default_registry`.
 from __future__ import annotations
 
 import abc
-import inspect
 import time
 from typing import Dict, Iterator, List, Sequence, Set, Tuple
 
@@ -36,25 +35,16 @@ from repro.matmul import dense as dense_mm
 from repro.matmul import mapping as mapping_mm
 from repro.matmul import sparse as sparse_mm
 from repro.matmul import tiling
-from repro.matmul.blocked import blocked_matmul
 from repro.matmul.cost_model import MatMulCostModel
-from repro.matmul.strassen import strassen_matmul
 
 Pair = Tuple[int, int]
 Dims = Tuple[int, int, int]
 
 
 class MatMulBackend(abc.ABC):
-    """One matrix-multiplication kernel family usable by the heavy operator.
-
-    ``auto_eligible`` marks backends the registry may pick on its own when
-    the configuration says ``"auto"``; specialised kernels (blocked,
-    Strassen) must be requested explicitly because their Python-level
-    recursion is never the fastest practical choice.
-    """
+    """One matrix-multiplication kernel family usable by the heavy operator."""
 
     name: str = "abstract"
-    auto_eligible: bool = True
 
     @abc.abstractmethod
     def multiply_dense(self, left: np.ndarray, right: np.ndarray, cores: int = 1) -> np.ndarray:
@@ -156,9 +146,12 @@ class MatMulBackend(abc.ABC):
         ``extract_stats``, ``extract_mode``, ``mapping``, ``density_hint`` and
         ``layout`` flow into :meth:`extract_pairs`.
         """
-        return self._heavy(left_heavy, right_heavy, rows, mids, cols, threshold,
-                           cores, self.extract_pairs, operands, tile_rows,
-                           extract_stats, extract_mode, mapping, density_hint, layout)
+        return self._heavy(
+            self.extract_pairs, left_heavy, right_heavy, rows, mids, cols,
+            threshold, cores, operands, tile_rows=tile_rows, stats=extract_stats,
+            mode=extract_mode, mapping=mapping, density_hint=density_hint,
+            layout=layout,
+        )
 
     def heavy_counts(
         self,
@@ -178,13 +171,21 @@ class MatMulBackend(abc.ABC):
         layout=None,
     ) -> Tuple[CountedPairBlock, float, float]:
         """Witness-count block of the heavy residual plus (build, multiply) seconds."""
-        return self._heavy(left_heavy, right_heavy, rows, mids, cols, threshold,
-                           cores, self.extract_counts, operands, tile_rows,
-                           extract_stats, extract_mode, mapping, density_hint, layout)
+        return self._heavy(
+            self.extract_counts, left_heavy, right_heavy, rows, mids, cols,
+            threshold, cores, operands, tile_rows=tile_rows, stats=extract_stats,
+            mode=extract_mode, mapping=mapping, density_hint=density_hint,
+            layout=layout,
+        )
 
-    def _heavy(self, left_heavy, right_heavy, rows, mids, cols, threshold, cores,
-               extract, operands=None, tile_rows=None, extract_stats=None,
-               extract_mode=None, mapping=None, density_hint=None, layout=None):
+    def _heavy(self, extract, left_heavy, right_heavy, rows, mids, cols,
+               threshold, cores, operands, **extract_kwargs):
+        """Build (unless ``operands`` is given), multiply, then ``extract``.
+
+        ``extract_kwargs`` go to the extraction hook as they are: an
+        override of :meth:`extract_pairs` / :meth:`extract_counts` takes the
+        same keywords as the base method.
+        """
         if operands is None:
             build_start = time.perf_counter()
             m1, m2 = self.build_operands(left_heavy, right_heavy, rows, mids, cols)
@@ -194,24 +195,7 @@ class MatMulBackend(abc.ABC):
             build_seconds = 0.0
         multiply_start = time.perf_counter()
         product = self.multiply(m1, m2, cores=cores)
-        # Runtime-registered backends may override the extraction hooks with
-        # an older signature (the pre-tiling 4-argument form, or the
-        # pre-adaptive tile_rows/stats form); only forward the keywords each
-        # override can actually accept.
-        params = inspect.signature(extract).parameters
-        has_var_kw = any(
-            p.kind == inspect.Parameter.VAR_KEYWORD for p in params.values()
-        )
-        kwargs = {}
-        for name, value in (("tile_rows", tile_rows), ("stats", extract_stats),
-                            ("mode", extract_mode), ("mapping", mapping),
-                            ("density_hint", density_hint), ("layout", layout)):
-            if has_var_kw or name in params:
-                kwargs[name] = value
-        if kwargs:
-            result = extract(product, rows, cols, threshold, **kwargs)
-        else:
-            result = extract(product, rows, cols, threshold)
+        result = extract(product, rows, cols, threshold, **extract_kwargs)
         return result, build_seconds, time.perf_counter() - multiply_start
 
 
@@ -252,8 +236,10 @@ class SparseBackend(MatMulBackend):
     """scipy CSR x CSR — wins when the heavy sub-matrices are very sparse."""
 
     name = "sparse"
-    # Per-nonzero Python/scipy overheads; an order of magnitude above the
-    # dense per-cell constants because construction walks Python dicts.
+    # Per-nonzero prices of the scipy path: ``adjacency_coords`` plus
+    # ``csr_matrix`` assembly, and one SpGEMM expansion.  Not re-fitted since
+    # construction became array-native; a new value moves the dense/sparse
+    # choice and belongs to the optimizer rewrite (ROADMAP open item 3).
     build_seconds_per_nnz = 2.5e-7
     seconds_per_expansion = 2.5e-8
 
@@ -313,64 +299,6 @@ class SparseBackend(MatMulBackend):
         return (build + multiply) / cost_model.speedup(config.cores)
 
 
-class BlockedBackend(MatMulBackend):
-    """Lemma 1 block decomposition; explicit-request only."""
-
-    name = "blocked"
-    auto_eligible = False
-    python_overhead = 8.0
-
-    def multiply_dense(self, left: np.ndarray, right: np.ndarray, cores: int = 1) -> np.ndarray:
-        return blocked_matmul(left, right)
-
-    def estimate_cost(
-        self,
-        dims: Dims,
-        nnz_left: int,
-        nnz_right: int,
-        cost_model: MatMulCostModel,
-        config: MMJoinConfig,
-    ) -> float:
-        u, v, w = dims
-        if max(dims) > config.max_heavy_dimension:
-            return float("inf")
-        return self.python_overhead * cost_model.estimate(
-            u, v, w, cores=config.cores
-        ) + cost_model.estimate_extraction(
-            u, w, cores=config.cores, tile_rows=config.extract_tile_rows,
-            mode=config.extract_mode,
-        )
-
-
-class StrassenBackend(MatMulBackend):
-    """Strassen recursion (omega = log2 7); explicit-request only."""
-
-    name = "strassen"
-    auto_eligible = False
-    python_overhead = 16.0
-
-    def multiply_dense(self, left: np.ndarray, right: np.ndarray, cores: int = 1) -> np.ndarray:
-        return strassen_matmul(left, right)
-
-    def estimate_cost(
-        self,
-        dims: Dims,
-        nnz_left: int,
-        nnz_right: int,
-        cost_model: MatMulCostModel,
-        config: MMJoinConfig,
-    ) -> float:
-        u, v, w = dims
-        if max(dims) > config.max_heavy_dimension:
-            return float("inf")
-        return self.python_overhead * cost_model.estimate(
-            u, v, w, cores=config.cores
-        ) + cost_model.estimate_extraction(
-            u, w, cores=config.cores, tile_rows=config.extract_tile_rows,
-            mode=config.extract_mode,
-        )
-
-
 class BackendRegistry:
     """Name -> :class:`MatMulBackend` mapping with cost-based auto selection."""
 
@@ -415,8 +343,8 @@ class BackendRegistry:
         """Resolve the configured backend, scoring candidates for ``auto``.
 
         An explicit ``config.matrix_backend`` name wins outright.  For
-        ``auto``, every auto-eligible backend estimates the wall-clock cost
-        of this particular product and the cheapest finite estimate wins;
+        ``auto``, every backend estimates the wall-clock cost of this
+        particular product and the cheapest finite estimate wins;
         backends return ``inf`` to rule themselves out (e.g. dense matrices
         exceeding ``max_heavy_dimension``).
         """
@@ -425,8 +353,6 @@ class BackendRegistry:
         best: MatMulBackend | None = None
         best_cost = float("inf")
         for backend in self._backends.values():
-            if not backend.auto_eligible:
-                continue
             cost = backend.estimate_cost(dims, nnz_left, nnz_right, self.cost_model, config)
             if cost < best_cost:
                 best, best_cost = backend, cost
@@ -437,12 +363,10 @@ class BackendRegistry:
 
 
 def make_default_registry(cost_model: MatMulCostModel | None = None) -> BackendRegistry:
-    """A fresh registry holding the four built-in kernel families."""
+    """A fresh registry holding the two built-in kernel families."""
     registry = BackendRegistry(cost_model=cost_model)
     registry.register(DenseBackend())
     registry.register(SparseBackend())
-    registry.register(BlockedBackend())
-    registry.register(StrassenBackend())
     return registry
 
 

@@ -26,7 +26,6 @@ from repro.serve.session import (
     QuerySession,
     SessionContext,
     SessionResult,
-    config_signature,
 )
 
 __all__ = [
@@ -39,5 +38,4 @@ __all__ = [
     "SessionResult",
     "Telemetry",
     "TelemetryConfig",
-    "config_signature",
 ]

@@ -73,7 +73,7 @@ from repro.matmul.cost_model import MatMulCostModel
 from repro.matmul.registry import BackendRegistry, make_default_registry
 from repro.matmul.tiling import choose_tile_rows
 from repro.obs.metrics import MetricsSnapshot
-from repro.obs.telemetry import Telemetry, serving_path
+from repro.obs.telemetry import Telemetry
 from repro.obs.trace import activate as trace_activate
 from repro.obs.trace import annotate as obs_annotate
 from repro.obs.trace import install as trace_install
@@ -106,18 +106,6 @@ from repro.shard.spec import ShardingSpec
 # Bound on the delta-lineage map (see SessionContext.record_delta_parent):
 # evicted entries only cost a full (still correct) re-merge on the next read.
 _DELTA_PARENT_CAP = 1024
-
-
-def config_signature(config: MMJoinConfig) -> Tuple[Any, ...]:
-    """The config fields that can change a plan or its artifacts.
-
-    Partition, operand and memo cache keys embed this tuple so that, e.g.,
-    evaluating with explicit thresholds never reuses a partition cached for
-    the optimizer-driven path.  (Alias of
-    :meth:`~repro.core.config.MMJoinConfig.cache_signature`, which the
-    physical operators use directly to avoid importing the serving layer.)
-    """
-    return config.cache_signature()
 
 
 class SessionContext:
@@ -405,7 +393,7 @@ class QuerySession:
         self._feedback_enabled = bool(feedback)
         self._versions: Dict[str, int] = {}
         self._families: Dict[str, SetFamily] = {}
-        self._planners: Dict[Tuple[Any, ...], Planner] = {}
+        self._planners: Dict[MMJoinConfig, Planner] = {}
         self._anon_ids = itertools.count(1)
         # Ad-hoc relations auto-register so their artifacts are keyable, but
         # a long-lived session must not pin every relation it ever served:
@@ -828,15 +816,14 @@ class QuerySession:
         return replace(self.config, **overrides)
 
     def planner_for(self, config: MMJoinConfig) -> Planner:
-        """One planner per config signature, all sharing the session state.
+        """One planner per config, all sharing the session state.
 
         Exposed for session-aware adapters (e.g.
         :class:`~repro.engines.registry.MMJoinEngine`) that need a planner
         wired to this session's caches, registry and calibrated cost model.
         """
-        signature = config_signature(config)
         with self._lock:
-            planner = self._planners.get(signature)
+            planner = self._planners.get(config)
             if planner is None:
                 planner = Planner(
                     config=config,
@@ -846,7 +833,7 @@ class QuerySession:
                     ),
                     session=self.context,
                 )
-                self._planners[signature] = planner
+                self._planners[config] = planner
             return planner
 
     def _ensure_registered(self, query: JoinProjectQuery) -> None:
@@ -883,7 +870,7 @@ class QuerySession:
             tokens,
             memo_query.kind,
             memo_query.with_counts,
-            config_signature(config),
+            config,
         )
 
     def _admit(self, query: JoinProjectQuery,
@@ -1026,11 +1013,6 @@ class QuerySession:
             trace, query.kind, path, result.seconds, result.explanation
         )
         return result
-
-    @staticmethod
-    def _serving_path(explanation: Optional[PlanExplanation]) -> str:
-        """Label a fresh execution ``warm`` (all operator caches hit) or ``cold``."""
-        return serving_path(explanation)
 
     def _evaluate(
         self,

@@ -192,7 +192,7 @@ def _result_key(context: Any, sub: ShardSubquery, counting: bool,
         return None
     return context.key(
         "shard_result", sub.query.join_relations(), sub.query.kind,
-        counting, config.cache_signature(),
+        counting, config,
     )
 
 

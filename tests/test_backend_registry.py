@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.config import MMJoinConfig
+from repro.core.config import MATRIX_BACKENDS, MMJoinConfig
 from repro.matmul.cost_model import MatMulCostModel
 from repro.matmul.registry import (
     BackendRegistry,
@@ -22,11 +22,21 @@ def registry():
 
 class TestRegistryBasics:
     def test_builtin_backends_registered(self, registry):
-        assert registry.names() == ["blocked", "dense", "sparse", "strassen"]
+        assert registry.names() == ["dense", "sparse"]
+
+    def test_config_registry_and_cli_name_the_same_backends(self, registry):
+        from repro.cli import build_parser
+
+        assert set(MATRIX_BACKENDS) - {"auto"} == set(registry.names())
+        for backend in MATRIX_BACKENDS:
+            args = build_parser().parse_args(["join", "f.txt", "--backend", backend])
+            assert args.backend == backend
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["join", "f.txt", "--backend", "strassen"])
 
     def test_get_by_name(self, registry):
         assert registry.get("dense").name == "dense"
-        assert registry.get("strassen").name == "strassen"
+        assert registry.get("sparse").name == "sparse"
 
     def test_unknown_backend_raises(self, registry):
         with pytest.raises(ValueError, match="unknown matmul backend"):
@@ -52,7 +62,7 @@ class TestRegistryBasics:
 
 
 class TestMultiply:
-    @pytest.mark.parametrize("name", ["dense", "sparse", "blocked", "strassen"])
+    @pytest.mark.parametrize("name", ["dense", "sparse"])
     def test_multiply_dense_matches_numpy(self, registry, name):
         rng = np.random.default_rng(7)
         a = (rng.random((13, 9)) < 0.4).astype(np.float32)
@@ -63,15 +73,20 @@ class TestMultiply:
 
 class TestSelection:
     def test_explicit_backend_wins(self, registry):
-        config = MMJoinConfig(matrix_backend="strassen")
-        backend = registry.select(config, (10, 10, 10), 50, 50)
-        assert backend.name == "strassen"
+        args = ((10, 10, 10), 50, 50)
+        assert registry.select(MMJoinConfig(matrix_backend="auto"), *args).name == "dense"
+        assert registry.select(MMJoinConfig(matrix_backend="sparse"), *args).name == "sparse"
 
-    def test_auto_picks_auto_eligible(self, registry):
+    def test_auto_picks_cheapest_finite_estimate(self, registry):
         config = MMJoinConfig(matrix_backend="auto")
-        backend = registry.select(config, (100, 50, 100), 500, 500)
-        assert backend.auto_eligible
-        assert backend.name in ("dense", "sparse")
+        for dims, nnz in [((100, 50, 100), 500), ((50, 50, 50), 2000),
+                          ((4000, 4000, 4000), 100)]:
+            costs = {
+                backend.name: backend.estimate_cost(
+                    dims, nnz, nnz, registry.cost_model, config)
+                for backend in registry
+            }
+            assert registry.select(config, dims, nnz, nnz).name == min(costs, key=costs.get)
 
     def test_auto_small_dense_product_prefers_dense(self, registry):
         config = MMJoinConfig(matrix_backend="auto")
@@ -94,12 +109,20 @@ class TestSelection:
         config = MMJoinConfig(matrix_backend="auto")
         assert registry.select(config, (10, 10, 10), 10, 10).name == "sparse"
 
-    def test_non_auto_eligible_never_auto_selected(self, registry):
+    def test_auto_falls_back_to_sparse_when_all_estimates_are_inf(self):
+        class NeverDense(DenseBackend):
+            def estimate_cost(self, dims, nnz_left, nnz_right, cost_model, config):
+                return float("inf")
+
+        class NeverSparse(SparseBackend):
+            def estimate_cost(self, dims, nnz_left, nnz_right, cost_model, config):
+                return float("inf")
+
+        registry = BackendRegistry()
+        registry.register(NeverDense())
+        registry.register(NeverSparse())
         config = MMJoinConfig(matrix_backend="auto")
-        for dims in [(5, 5, 5), (500, 20, 500), (4000, 4000, 4000)]:
-            assert registry.select(config, dims, 100, 100).name not in (
-                "blocked", "strassen",
-            )
+        assert registry.select(config, (10, 10, 10), 10, 10).name == "sparse"
 
 
 class TestHeavyEvaluation:

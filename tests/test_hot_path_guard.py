@@ -1,5 +1,5 @@
 """Deterministic guard: the cold path dedups by sorting packed keys, twice at most,
-and the set joins build no Python tuple inside a query.
+reflects on no signature, and the set joins build no Python tuple inside a query.
 
 ``np.unique`` (a stable argsort plus gathers once ``return_index`` is asked
 for) and ``np.lexsort`` are what the result layer used to deduplicate with;
@@ -9,6 +9,9 @@ counts are a property of the code, not of the machine, so this cannot flake.
 """
 
 from __future__ import annotations
+
+import contextlib
+import inspect
 
 import numpy as np
 import pytest
@@ -33,6 +36,22 @@ def forbidden_sorts(monkeypatch):
 
     monkeypatch.setattr(np, "unique", forbidden("unique"))
     monkeypatch.setattr(np, "lexsort", forbidden("lexsort"))
+
+
+@pytest.fixture
+def forbidden_reflection(monkeypatch):
+    """``inspect.signature`` raises inside the returned context (pytest itself
+    calls it between fixtures, so the patch cannot span the whole test)."""
+    def raiser(*args, **kwargs):
+        raise AssertionError("inspect.signature reached inside a query")
+
+    @contextlib.contextmanager
+    def guard():
+        with monkeypatch.context() as patch:
+            patch.setattr(inspect, "signature", raiser)
+            yield
+
+    return guard
 
 
 @pytest.fixture
@@ -68,12 +87,13 @@ def dedup_calls(monkeypatch):
 
 @pytest.mark.parametrize("make_rows, strategy, max_dedups",
                          [(dense_rows, "mmjoin", 2), (sparse_rows, "wcoj", 1)])
-def test_cold_two_path_sorts_keys_only(forbidden_sorts, dedup_calls,
-                                       make_rows, strategy, max_dedups):
+def test_cold_two_path_sorts_keys_only(forbidden_sorts, forbidden_reflection,
+                                       dedup_calls, make_rows, strategy, max_dedups):
     relation = Relation(make_rows(1), name="R")
     with QuerySession() as session:
         session.register(relation)
-        result = session.two_path("R")
+        with forbidden_reflection():
+            result = session.two_path("R")
     assert result.explanation.strategy == strategy
     assert 1 <= dedup_calls["pairs"] <= max_dedups, dedup_calls
     assert dedup_calls["counted"] == 0, dedup_calls

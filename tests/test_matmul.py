@@ -4,8 +4,12 @@ import numpy as np
 import pytest
 
 from repro.data.relation import Relation
-from repro.matmul.blocked import block_count, blocked_matmul, rectangular_cost
-from repro.matmul.cost_model import MatMulCostModel, calibration_series, theoretical_cost
+from repro.matmul.cost_model import (
+    MatMulCostModel,
+    calibration_series,
+    rectangular_cost,
+    theoretical_cost,
+)
 from repro.matmul.dense import (
     FLOAT32_EXACT_LIMIT,
     accumulation_dtype,
@@ -24,7 +28,6 @@ from repro.matmul.sparse import (
     sparse_nonzero_pairs,
     sparse_nonzero_pairs_with_counts,
 )
-from repro.matmul.strassen import strassen_flop_estimate, strassen_matmul
 
 
 @pytest.fixture
@@ -167,30 +170,7 @@ class TestSparseKernels:
             sparse_count_matmul(a, b)
 
 
-class TestBlocked:
-    def test_blocked_matches_numpy(self, random_matrices):
-        a, b = random_matrices
-        assert np.allclose(blocked_matmul(a, b, block_size=5), a @ b, atol=1e-4)
-
-    def test_blocked_default_block(self, random_matrices):
-        a, b = random_matrices
-        assert np.allclose(blocked_matmul(a, b), a @ b, atol=1e-4)
-
-    def test_blocked_with_strassen_kernel(self):
-        rng = np.random.default_rng(0)
-        a = rng.integers(0, 2, size=(16, 16)).astype(np.float32)
-        b = rng.integers(0, 2, size=(16, 16)).astype(np.float32)
-        result = blocked_matmul(a, b, block_size=8, kernel=lambda x, y: strassen_matmul(x, y, cutoff=4).astype(np.float32))
-        assert np.allclose(result, a @ b, atol=1e-4)
-
-    def test_blocked_empty(self):
-        out = blocked_matmul(np.zeros((0, 3)), np.zeros((3, 2)))
-        assert out.shape == (0, 2)
-
-    def test_blocked_mismatch(self):
-        with pytest.raises(ValueError):
-            blocked_matmul(np.ones((2, 3)), np.ones((4, 2)))
-
+class TestCostModel:
     def test_rectangular_cost_classical(self):
         assert rectangular_cost(10, 20, 30, omega=3.0) == pytest.approx(6000.0)
 
@@ -201,37 +181,6 @@ class TestBlocked:
     def test_rectangular_cost_zero_dim(self):
         assert rectangular_cost(0, 5, 5) == 0.0
 
-    def test_block_count(self):
-        assert block_count(10, 10, 10, 5) == 8
-        assert block_count(0, 10, 10, 5) == 0
-
-
-class TestStrassen:
-    def test_matches_numpy_square(self):
-        rng = np.random.default_rng(1)
-        a = rng.random((32, 32))
-        b = rng.random((32, 32))
-        assert np.allclose(strassen_matmul(a, b, cutoff=8), a @ b)
-
-    def test_matches_numpy_rectangular(self):
-        rng = np.random.default_rng(2)
-        a = rng.random((13, 21))
-        b = rng.random((21, 9))
-        assert np.allclose(strassen_matmul(a, b, cutoff=4), a @ b)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            strassen_matmul(np.ones((2, 3)), np.ones((2, 3)))
-
-    def test_empty(self):
-        assert strassen_matmul(np.zeros((0, 4)), np.zeros((4, 2))).shape == (0, 2)
-
-    def test_flop_estimate_subcubic(self):
-        cubic = 1024.0 ** 3
-        assert strassen_flop_estimate(1024, cutoff=32) < cubic
-
-
-class TestCostModel:
     def test_theoretical_cost_matches_rectangular(self):
         assert theoretical_cost(8, 8, 8, omega=3.0) == pytest.approx(512.0)
 

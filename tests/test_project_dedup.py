@@ -1,7 +1,4 @@
-"""Unit tests for repro.joins.project (dedup strategies) and the baseline join."""
-
-import numpy as np
-import pytest
+"""Unit tests for the combinatorial baseline join (repro.joins.baseline)."""
 
 from repro.data.relation import Relation
 from repro.joins.baseline import (
@@ -10,62 +7,6 @@ from repro.joins.baseline import (
     combinatorial_two_path_filtered,
 )
 from repro.joins.hash_join import hash_join_project, hash_join_project_counts
-from repro.joins.project import (
-    Deduplicator,
-    dedup_pairs,
-    dedup_tuples,
-    merge_pair_sets,
-    project_join_counts,
-    sort_dedup_pairs,
-)
-
-
-class TestDeduplicator:
-    @pytest.mark.parametrize("strategy", ["hash", "sort", "counter", "auto"])
-    def test_strategies_agree(self, strategy):
-        chunks = [np.array([1, 5, 9]), np.array([5, 5, 2]), np.array([9, 0])]
-        dedup = Deduplicator(domain_size=10, strategy=strategy)
-        assert dedup.dedup(chunks).tolist() == [0, 1, 2, 5, 9]
-
-    def test_unknown_strategy(self):
-        with pytest.raises(ValueError):
-            Deduplicator(10, strategy="bogus")
-
-    def test_empty_chunks(self):
-        dedup = Deduplicator(10)
-        assert dedup.dedup([]).size == 0
-        assert dedup.dedup([np.array([])]).size == 0
-
-    def test_counter_reusable_across_calls(self):
-        dedup = Deduplicator(domain_size=8, strategy="counter")
-        first = dedup.dedup([np.array([1, 2, 2])])
-        second = dedup.dedup([np.array([3, 3])])
-        assert first.tolist() == [1, 2]
-        assert second.tolist() == [3]
-
-    def test_dedup_with_counts(self):
-        dedup = Deduplicator(10)
-        counts = dedup.dedup_with_counts([np.array([1, 2]), np.array([2, 2])])
-        assert counts == {1: 1, 2: 3}
-
-
-class TestHelpers:
-    def test_dedup_pairs(self):
-        assert dedup_pairs([(1, 2), (1, 2), (3, 4)]) == {(1, 2), (3, 4)}
-
-    def test_dedup_tuples(self):
-        assert dedup_tuples([(1, 2, 3), (1, 2, 3)]) == {(1, 2, 3)}
-
-    def test_sort_dedup_pairs(self):
-        assert sort_dedup_pairs([(3, 4), (1, 2), (3, 4)]) == [(1, 2), (3, 4)]
-        assert sort_dedup_pairs([]) == []
-
-    def test_project_join_counts(self):
-        full = [(1, 10, 2), (1, 11, 2), (1, 10, 3)]
-        assert project_join_counts(full) == {(1, 2): 2, (1, 3): 1}
-
-    def test_merge_pair_sets(self):
-        assert merge_pair_sets({(1, 2)}, {(3, 4)}, set()) == {(1, 2), (3, 4)}
 
 
 class TestCombinatorialBaseline:
@@ -73,12 +14,9 @@ class TestCombinatorialBaseline:
         left, right = skewed_pair
         assert combinatorial_two_path(left, right) == hash_join_project(left, right)
 
-    @pytest.mark.parametrize("strategy", ["hash", "sort", "counter", "auto"])
-    def test_all_dedup_strategies_match(self, tiny_relation, tiny_relation_s, strategy):
+    def test_matches_full_join_project_tiny(self, tiny_relation, tiny_relation_s):
         expected = hash_join_project(tiny_relation, tiny_relation_s)
-        assert combinatorial_two_path(
-            tiny_relation, tiny_relation_s, dedup_strategy=strategy
-        ) == expected
+        assert combinatorial_two_path(tiny_relation, tiny_relation_s) == expected
 
     def test_with_counts(self, tiny_relation, tiny_relation_s):
         counts = combinatorial_two_path(tiny_relation, tiny_relation_s, with_counts=True)

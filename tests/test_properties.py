@@ -12,9 +12,6 @@ from repro.data.setfamily import SetFamily
 from repro.joins.baseline import combinatorial_two_path
 from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 from repro.joins.leapfrog import intersect_sorted, leapfrog_intersection
-from repro.joins.project import Deduplicator
-from repro.matmul.blocked import blocked_matmul
-from repro.matmul.strassen import strassen_matmul
 from repro.setops.ssj import ssj_bruteforce, ssj_mmjoin
 
 # Strategy: a small relation as a list of (x, y) pairs over compact domains.
@@ -113,40 +110,6 @@ class TestJoinProperties:
         rel = Relation.from_pairs(pairs)
         result = two_path_join(rel, rel).pairs
         assert {(b, a) for a, b in result} == result
-
-
-class TestDedupProperties:
-    @given(
-        chunks=st.lists(
-            st.lists(st.integers(min_value=0, max_value=63), max_size=30).map(
-                lambda xs: np.array(xs, dtype=np.int64)
-            ),
-            max_size=5,
-        ),
-        strategy=st.sampled_from(["hash", "sort", "counter", "auto"]),
-    )
-    @SETTINGS
-    def test_all_strategies_equal_set_semantics(self, chunks, strategy):
-        dedup = Deduplicator(domain_size=64, strategy=strategy)
-        expected = sorted({int(v) for chunk in chunks for v in chunk})
-        assert dedup.dedup(chunks).tolist() == expected
-
-
-class TestMatmulProperties:
-    @given(
-        rows=st.integers(min_value=1, max_value=12),
-        inner=st.integers(min_value=1, max_value=12),
-        cols=st.integers(min_value=1, max_value=12),
-        seed=st.integers(min_value=0, max_value=1000),
-    )
-    @SETTINGS
-    def test_blocked_and_strassen_match_numpy(self, rows, inner, cols, seed):
-        rng = np.random.default_rng(seed)
-        a = rng.integers(0, 3, size=(rows, inner)).astype(np.float64)
-        b = rng.integers(0, 3, size=(inner, cols)).astype(np.float64)
-        expected = a @ b
-        assert np.allclose(blocked_matmul(a, b, block_size=4), expected, atol=1e-3)
-        assert np.allclose(strassen_matmul(a, b, cutoff=4), expected, atol=1e-6)
 
 
 class TestSSJProperties:

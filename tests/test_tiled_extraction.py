@@ -164,46 +164,6 @@ def test_backends_thread_tile_rows(skewed_pair):
             assert pairs == reference, backend.name
 
 
-def test_legacy_extract_signature_still_supported(skewed_pair):
-    """Custom backends overriding the pre-tiling 4-argument extraction hooks
-    keep working — the template only forwards the tiling keywords to
-    overrides that can accept them."""
-    from repro.core.partitioning import partition_two_path
-    from repro.matmul import dense as dense_mm
-    from repro.matmul.registry import DenseBackend
-
-    class LegacyBackend(DenseBackend):
-        name = "legacy-extract"
-
-        def extract_pairs(self, product, rows, cols, threshold):
-            return dense_mm.nonzero_block(product, rows, cols, threshold=threshold)
-
-        def extract_counts(self, product, rows, cols, threshold):
-            return dense_mm.nonzero_counted_block(
-                product, rows, cols, threshold=threshold
-            )
-
-    left, right = skewed_pair
-    partition = partition_two_path(left, right, 2, 2)
-    rows, mids, cols = partition.heavy_x, partition.heavy_y, partition.heavy_z
-    legacy, modern = LegacyBackend(), DenseBackend()
-    pairs, _, _ = legacy.heavy_pairs(
-        partition.r_heavy, partition.s_heavy, rows, mids, cols,
-        tile_rows=2, extract_stats={},
-    )
-    reference, _, _ = modern.heavy_pairs(
-        partition.r_heavy, partition.s_heavy, rows, mids, cols
-    )
-    assert pairs == reference
-    counts, _, _ = legacy.heavy_counts(
-        partition.r_heavy, partition.s_heavy, rows, mids, cols
-    )
-    ref_counts, _, _ = modern.heavy_counts(
-        partition.r_heavy, partition.s_heavy, rows, mids, cols
-    )
-    assert counts == ref_counts
-
-
 def test_operator_surfaces_extraction_stats_in_explain(skewed_pair):
     """The heavy operator's explain() detail carries the memory fields."""
     from repro.core.config import MMJoinConfig
