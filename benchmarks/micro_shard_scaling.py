@@ -17,15 +17,16 @@ state the session caches per shard).  For each shard count it measures:
 * ``cold_seconds`` — a fresh session ingesting the raw tuple arrays,
   registering and serving the first query (sharded sessions pay partitioning
   here; ``shards=1`` is the unsharded baseline);
-* ``warm_seconds`` — steady-state re-serving with the memo bypassed;
+* ``warm_seconds`` — steady-state re-serving with the memo bypassed (every
+  shard's block from the per-shard result cache, plus the cross-shard merge);
 * ``update_seconds`` / ``requery_seconds`` — mutating the busiest hash
   shard through ``update_shard``, then re-serving (memo bypassed; only the
   mutated shard recomputes).
 
 The acceptance bar (``test_micro_shard_scaling.py``) gates the update path:
-re-serving after a single-shard update must take at most 5 ms and less than
-a cold unsharded session, with the per-shard cache counters proving that
-every sibling shard stayed warm.  ``main()`` records the table to
+re-serving after a single-shard update must take less than a cold unsharded
+session, with the per-shard cache counters proving that every sibling shard
+stayed warm.  ``main()`` records the table to
 ``benchmarks/results/micro_shard_scaling.txt``.
 """
 

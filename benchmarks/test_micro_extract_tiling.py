@@ -1,7 +1,7 @@
 """Bench-runner wiring for the extraction-tiling microbenchmark.
 
 Runs :mod:`micro_extract_tiling` under the pytest-benchmark harness,
-formats the tables (``benchmarks/results/micro_extract_tiling.txt`` plus
+formats the table (``benchmarks/results/micro_extract_tiling.txt`` plus
 the machine-readable ``BENCH_micro.json`` entry are written only when
 recording — ``--record-results``), and asserts the acceptance
 bars:
@@ -10,10 +10,7 @@ bars:
   the sparse-output dense-product workload, with peak transient memory an
   order of magnitude under the full scan's boolean temporary;
 * peak extraction memory of a real plan is bounded by O(tile + output),
-  asserted through the ``memory_*_bytes`` fields ``explain()`` now carries;
-* warm sharded re-query with the per-shard result cache is at least **3x**
-  faster than PR 4's baseline (the same serving path with the cache
-  disabled).
+  asserted through the ``memory_*_bytes`` fields ``explain()`` now carries.
 """
 
 import numpy as np
@@ -28,15 +25,12 @@ from repro.matmul.tiling import choose_tile_rows
 
 
 def test_micro_extract_tiling_tables(benchmark, record_json, recording):
-    def run_both():
-        return micro_extract_tiling.run_extract_rows(), \
-            micro_extract_tiling.run_shard_rows()
-
-    extract_rows, shard_rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
+    extract_rows = benchmark.pedantic(micro_extract_tiling.run_extract_rows,
+                                      rounds=1, iterations=1)
     render = (micro_extract_tiling.record_results if recording
               else micro_extract_tiling.format_results)
-    print("\n" + render(extract_rows, shard_rows))
-    metrics = micro_extract_tiling.headline_metrics(extract_rows, shard_rows)
+    print("\n" + render(extract_rows))
+    metrics = micro_extract_tiling.headline_metrics(extract_rows)
     record_json("micro_extract_tiling", metrics)
 
     by_name = {row["workload"]: row for row in extract_rows}
@@ -56,9 +50,6 @@ def test_micro_extract_tiling_tables(benchmark, record_json, recording):
     assert by_name["dense_noisy"]["speedup"] >= 0.8, by_name["dense_noisy"]
     assert by_name["hidden_core_mapped"]["speedup"] >= 0.95, \
         by_name["hidden_core_mapped"]
-
-    # Acceptance: warm sharded re-query >= 3x over the cache-off baseline.
-    assert metrics["warm_shard_requery_speedup"] >= 3.0, shard_rows
 
 
 def _sparse_output_pair():

@@ -43,31 +43,15 @@ def token_mentions(token: Any, name: str) -> bool:
     return False
 
 
-def token_mentions_shard_update(token: Any, name: str, shard: int) -> bool:
-    """Whether a token is stale after ``update_shard(name, shard)``.
-
-    Matches artifacts derived from the mutated shard (``("shard", name,
-    shard, v)`` leaves) *and* anything keyed on the whole relation
-    (``("rel", name, v)`` leaves — the plan memo and unsharded artifacts,
-    whose results change whenever any shard does).  Sibling-shard leaves do
-    **not** match: their derived state stays warm.
-    """
-    if isinstance(token, tuple):
-        if len(token) == 3 and token[0] == "rel":
-            return token[1] == name
-        if len(token) == 4 and token[0] == "shard":
-            return token[1] == name and token[2] == shard
-        return any(token_mentions_shard_update(part, name, shard) for part in token)
-    return False
-
-
 def token_mentions_write(token: Any, name: str, shards: Collection[int]) -> bool:
-    """Whether a token is stale after a delta write touching ``shards``.
+    """Whether a token is stale after a write touching ``shards`` of ``name``.
 
-    The multi-shard generalisation of :func:`token_mentions_shard_update`:
-    an append/delete batch hash-routes to several shards at once, and one
-    invalidation pass must cover all of them.  Touched-shard leaves and
-    whole-relation (``("rel", name, v)``) leaves match; sibling shards'
+    An append/delete batch hash-routes to several shards at once and
+    ``update_shard`` replaces one; either way one invalidation pass covers
+    them all.  Touched-shard leaves (``("shard", name, shard, v)``) match,
+    and so does anything keyed on the whole relation (``("rel", name, v)``
+    leaves — the plan memo and unsharded artifacts, whose results change
+    whenever any shard does).  Sibling-shard leaves do **not** match: their
     derived state stays warm.
     """
     if isinstance(token, tuple):
@@ -190,24 +174,13 @@ class ArtifactCache:
         """Drop every artifact derived from relation ``name`` (any version)."""
         return self.invalidate_where(lambda key: token_mentions(key, name))
 
-    def invalidate_shard(self, name: str, shard: int) -> int:
-        """Drop artifacts stale after a single-shard update of ``name``.
-
-        Everything derived from the mutated shard or from the whole relation
-        goes; sibling shards' artifacts stay warm — this is the shard-scoped
-        invalidation that makes ``update_shard`` cheap.
-        """
-        return self.invalidate_where(
-            lambda key: token_mentions_shard_update(key, name, shard)
-        )
-
     def invalidate_write(self, name: str, shards: Collection[int]) -> int:
-        """Drop artifacts stale after a delta write touching ``shards``.
+        """Drop artifacts stale after a write touching ``shards`` of ``name``.
 
         One pass over the cache covers every shard an append/delete batch
-        routed rows to (plus whole-relation entries); untouched shards'
-        artifacts survive, which is what keeps warm serving warm across
-        small writes.
+        routed rows to — or the one shard ``update_shard`` replaced — plus
+        whole-relation entries; untouched shards' artifacts survive, which
+        is what keeps warm serving warm across small writes.
         """
         return self.invalidate_where(
             lambda key: token_mentions_write(key, name, shards)

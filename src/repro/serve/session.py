@@ -45,10 +45,10 @@ import itertools
 import threading
 import time
 import weakref
-from collections import OrderedDict, deque
+from collections import deque
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace as dc_replace
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Set, Tuple
+from typing import Any, Callable, Collection, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -93,7 +93,6 @@ from repro.serve.artifacts import (
     ArtifactCache,
     token_mentions,
     token_mentions_any_shard,
-    token_mentions_shard_update,
     token_mentions_write,
 )
 from repro.serve.feedback import CostFeedback
@@ -101,11 +100,6 @@ from repro.shard.executor import execute_sharded
 from repro.shard.router import ShardRouter
 from repro.shard.sharded import ShardedRelation
 from repro.shard.spec import ShardingSpec
-
-
-# Bound on the delta-lineage map (see SessionContext.record_delta_parent):
-# evicted entries only cost a full (still correct) re-merge on the next read.
-_DELTA_PARENT_CAP = 1024
 
 
 class SessionContext:
@@ -125,7 +119,6 @@ class SessionContext:
         self.retry_policy = retry_policy
         self._tokens: Dict[int, Tuple[Any, Relation]] = {}
         self._executors: Dict[int, ParallelExecutor] = {}
-        self._delta_parents: "OrderedDict[Any, Any]" = OrderedDict()
         self._lock = threading.RLock()
 
     # -- token bookkeeping -------------------------------------------------
@@ -172,29 +165,6 @@ class SessionContext:
                       if predicate(token)]
             for obj_id in doomed:
                 del self._tokens[obj_id]
-
-    # -- delta lineage -----------------------------------------------------
-    def record_delta_parent(self, child: Any, parent: Any) -> None:
-        """Remember that shard token ``child`` is ``parent`` plus appended rows.
-
-        The sharded executor walks this lineage backwards to *patch* a
-        cached merged result instead of re-merging every shard: appends are
-        monotone under set semantics, so the parent generation's merged
-        block unioned with the touched shards' fresh blocks is exactly the
-        child generation's result.  Only appends record lineage — deletes
-        break monotonicity and take the per-shard rebuild path.  Versioned
-        tokens are immutable snapshots, so an entry can never turn wrong;
-        the map is bounded FIFO purely to cap memory.
-        """
-        with self._lock:
-            self._delta_parents[child] = parent
-            while len(self._delta_parents) > _DELTA_PARENT_CAP:
-                self._delta_parents.popitem(last=False)
-
-    def delta_parent(self, token: Any) -> Optional[Any]:
-        """The recorded pre-append token for ``token`` (``None`` = no lineage)."""
-        with self._lock:
-            return self._delta_parents.get(token)
 
     # -- shared execution resources ---------------------------------------
     def executor(self, cores: int) -> ParallelExecutor:
@@ -326,12 +296,6 @@ class QuerySession:
         :func:`~repro.core.estimation.detect_heavy_join_keys`).  Lower it
         for workloads whose head-domain bound caps per-key degrees well
         below a fair shard's share.
-    shard_result_cache:
-        When True (default), every shard subquery's merged block is cached
-        in the artifact cache under its slices' shard tokens, so warm
-        sharded serving pays only the cross-shard merge and
-        :meth:`update_shard` recomputes exactly the mutated shard's block.
-        Disable to force every subquery through its per-shard pipeline.
     lazy_merge_rows:
         Write-absorption threshold of the streaming path: an
         :meth:`append` / :meth:`delete` delta whose target shard's total
@@ -367,7 +331,6 @@ class QuerySession:
         feedback: bool = True,
         shards: int = 1,
         heavy_key_factor: float = 0.5,
-        shard_result_cache: bool = True,
         lazy_merge_rows: int = 4096,
         telemetry: Any = True,
         memory_budget_bytes: Optional[int] = None,
@@ -407,7 +370,6 @@ class QuerySession:
         # relation registered with sharded=True).
         self.shards = max(int(shards), 1)
         self.heavy_key_factor = float(heavy_key_factor)
-        self.shard_result_cache = bool(shard_result_cache)
         self.lazy_merge_rows = max(int(lazy_merge_rows), 0)
         self._sharded_names: Set[str] = set()
         self._sharded: Dict[str, ShardedRelation] = {}
@@ -497,6 +459,35 @@ class QuerySession:
         self.memo.invalidate_relation(name)
         self.context.unbind_relation(name)
 
+    def _invalidate_write(self, name: str, shards: Collection[int]) -> None:
+        """Shard-scoped sweep shared by append, delete and ``update_shard``.
+
+        Drops the touched shards' artifacts and anything keyed on the whole
+        relation (memo, unsharded artifacts), and unbinds every version of
+        the touched tokens — so it must run BEFORE the new generation is
+        bound.  Sibling-shard entries survive.
+        """
+        self.artifacts.invalidate_write(name, shards)
+        self.memo.invalidate_write(name, shards)
+        self.context.unbind_where(
+            lambda token: token_mentions_write(token, name, shards)
+        )
+
+    def _bind_shard(self, name: str, shard: int, relation: Relation) -> None:
+        """Bind ``relation`` as the next generation of one shard's token."""
+        version = self._shard_versions.get((name, shard), -1) + 1
+        self._shard_versions[(name, shard)] = version
+        self.context.bind(relation, ("shard", name, shard, version))
+
+    def _bind_written_base(self, name: str, container: ShardedRelation) -> None:
+        """Bump ``name``'s version over the container's (lazy) combined view."""
+        version = self._versions[name] + 1
+        self._versions[name] = version
+        base = container.combined()
+        self.catalog.add(base, name=name)
+        self.context.bind(base, ("rel", name, version))
+        self._families.pop(name, None)
+
     # ------------------------------------------------------------------ #
     # Sharding management
     # ------------------------------------------------------------------ #
@@ -574,9 +565,7 @@ class QuerySession:
         )
         self._sharded[name] = container
         for shard, shard_rel in enumerate(container.shards):
-            version = self._shard_versions.get((name, shard), -1) + 1
-            self._shard_versions[(name, shard)] = version
-            self.context.bind(shard_rel, ("shard", name, shard, version))
+            self._bind_shard(name, shard, shard_rel)
 
     def update_shard(self, name: str, shard: int, rows: Any) -> str:
         """Replace one shard's tuples; sibling shards' artifacts stay warm.
@@ -605,23 +594,9 @@ class QuerySession:
                 # skip the version bumps and the invalidation sweep.
                 return name
             stored = container.replace_shard(shard, relation)  # validates keys
-            # Shard-scoped invalidation: the mutated shard's artifacts and
-            # anything keyed on the whole relation (memo, unsharded
-            # artifacts); sibling-shard entries survive.
-            self.artifacts.invalidate_shard(name, shard)
-            self.memo.invalidate_shard(name, shard)
-            self.context.unbind_where(
-                lambda token: token_mentions_shard_update(token, name, shard)
-            )
-            version = self._versions[name] + 1
-            self._versions[name] = version
-            shard_version = self._shard_versions.get((name, shard), -1) + 1
-            self._shard_versions[(name, shard)] = shard_version
-            base = container.combined()
-            self.catalog.add(base, name=name)
-            self.context.bind(base, ("rel", name, version))
-            self.context.bind(stored, ("shard", name, shard, shard_version))
-            self._families.pop(name, None)
+            self._invalidate_write(name, {shard})
+            self._bind_shard(name, shard, stored)
+            self._bind_written_base(name, container)
         return name
 
     def append(self, name: str, rows: Any) -> str:
@@ -631,13 +606,13 @@ class QuerySession:
         of ``(x, y)`` pairs.  For a sharded registration the delta is
         hash-routed to its owning shards under the frozen spec: each
         touched shard absorbs its slice as a pending delta block (folded
-        lazily within ``lazy_merge_rows``), only the touched shards'
-        tokens and artifacts are invalidated, and append lineage is
-        recorded so the next read can *patch* the cached merged result —
-        union the old merged block with the touched shards' fresh blocks —
-        instead of re-merging every shard.  Unsharded names fold the delta
-        into the base data and take the full-replace mutation path.  Empty
-        deltas short-circuit: no version bump, no invalidation.
+        lazily within ``lazy_merge_rows``) and only the touched shards'
+        tokens and artifacts (plus whole-relation entries such as the
+        memo) are invalidated, so the next read re-runs exactly the touched
+        shards' subplans and re-serves every sibling's cached block.
+        Unsharded names fold the delta into the base data and take the
+        full-replace mutation path.  Empty deltas short-circuit: no version
+        bump, no invalidation.
         """
         return self._apply_write(name, rows, "+")
 
@@ -645,12 +620,11 @@ class QuerySession:
         """Delete ``rows`` from a registered relation as a routed delta.
 
         Routing, shard-scoped invalidation and the empty-delta
-        short-circuit mirror :meth:`append`; deletes record no append
-        lineage (removals are not monotone), so the next read rebuilds
-        touched shards' blocks and re-merges.  Rows not present are
-        silently ignored by default — the delta algebra's difference makes
-        the delete idempotent; ``strict=True`` instead raises ``ValueError``
-        listing missing rows, before anything mutates (this check reads the
+        short-circuit are :meth:`append`'s — the two writes differ only in
+        the delta operator.  Rows not present are silently ignored by
+        default — the delta algebra's difference makes the delete
+        idempotent; ``strict=True`` instead raises ``ValueError`` listing
+        missing rows, before anything mutates (this check reads the
         combined data, folding any pending deltas first).
         """
         return self._apply_write(name, rows, "-", strict=strict)
@@ -708,21 +682,7 @@ class QuerySession:
                 np.ascontiguousarray(delta[:, 1])
             )
             touched = frozenset(int(s) for s in np.unique(owners))
-            if op == "-":
-                # Every cache key embeds versioned tokens, so old-generation
-                # entries can never serve a new query — invalidation is
-                # memory hygiene.  Deletes sweep eagerly (their old entries
-                # are dead weight); appends deliberately keep the previous
-                # generation so the next read can patch the cached merged
-                # result through the recorded lineage, and let the LRU byte
-                # budget age retired generations out.
-                self.artifacts.invalidate_write(name, touched)
-                self.memo.invalidate_write(name, touched)
-            # Unbind BEFORE binding the new generation: the write predicate
-            # matches every version of a touched shard.
-            self.context.unbind_where(
-                lambda token: token_mentions_write(token, name, touched)
-            )
+            self._invalidate_write(name, touched)
             folded_shards = 0
             for shard in sorted(touched):
                 with obs_span("delta_apply", shard=shard) as sp:
@@ -736,20 +696,8 @@ class QuerySession:
                 sp.set("outcome", "absorbed" if absorbed else "folded")
                 if not absorbed:
                     folded_shards += 1
-                shard_version = self._shard_versions.get((name, shard), -1) + 1
-                self._shard_versions[(name, shard)] = shard_version
-                self.context.bind(stored, ("shard", name, shard, shard_version))
-                if op == "+":
-                    self.context.record_delta_parent(
-                        ("shard", name, shard, shard_version),
-                        ("shard", name, shard, shard_version - 1),
-                    )
-            version = self._versions[name] + 1
-            self._versions[name] = version
-            base = container.combined()
-            self.catalog.add(base, name=name)
-            self.context.bind(base, ("rel", name, version))
-            self._families.pop(name, None)
+                self._bind_shard(name, shard, stored)
+            self._bind_written_base(name, container)
             if folded_shards == 0:
                 outcome = "absorbed"
             elif folded_shards == len(touched):
@@ -953,6 +901,10 @@ class QuerySession:
         ``explain()``.  Counting queries reject the flag — a partial sum
         of witness counts is wrong, not approximate.
 
+        ``use_memo=False`` skips the lookup and the insert of the finished
+        result — the query executes, served by whatever derived artifacts
+        (semijoin, partition, operands, per-shard result blocks) are warm.
+
         :meth:`evaluate` remains the uncontrolled entry point (no deadline,
         whole-query failure).
         """
@@ -1044,6 +996,7 @@ class QuerySession:
         routed = None
         if self._sharded and self.shards > 1:
             routed = self._router.route(query)
+        plan = None
         if routed is not None:
             sharded = execute_sharded(
                 routed,
@@ -1054,10 +1007,10 @@ class QuerySession:
                     if run_config.cores > 1 else None
                 ),
                 context=self.context,
-                result_cache=self.shard_result_cache,
                 partial_results=partial_results,
                 retry_policy=self.retry_policy,
             )
+            block, counted = sharded.result_block, sharded.result_counted
             explanation = sharded.explanation
             # The router lowers similarity/containment to the counting
             # two-path; report the original kind, as the unsharded path does.
@@ -1065,41 +1018,29 @@ class QuerySession:
             explanation.session_stats.update(
                 {f"artifacts.{k}": v for k, v in self.artifacts.stats().items()}
             )
-            if self._feedback_enabled:
-                # Per-shard explanations carry the real matrix products; the
-                # rollup only aggregates, so feed the sub-plans to the model.
-                for sub_explanation in sharded.shard_explanations:
-                    self.feedback.record(sub_explanation, cores=1)
             self._record_shard_counters(explanation)
-            with self._lock:
-                self.queries_served += 1
-            if key is not None and not explanation.session_stats.get("partial"):
-                # A partial union must never be memoized: the next serve
-                # re-attempts the failed shards instead of replaying them.
-                value = (sharded.result_block, sharded.result_counted, explanation)
-                self.memo.put(key, value, _blocks_nbytes(value))
-            return SessionResult(
-                query_kind=query.kind,
-                result_block=sharded.result_block,
-                result_counted=sharded.result_counted,
-                explanation=explanation,
-                seconds=time.perf_counter() - start,
-                from_memo=False,
-            )
-        plan = self.planner_for(run_config).execute(query)
-        state = plan.state
-        explanation = plan.explain()
+            # Per-shard explanations carry the real matrix products; the
+            # rollup only aggregates, so feed the sub-plans to the model.
+            measured, cores = sharded.shard_explanations, 1
+        else:
+            plan = self.planner_for(run_config).execute(query)
+            block, counted = plan.state.result_block, plan.state.result_counted
+            explanation = plan.explain()
+            measured, cores = [explanation], run_config.cores
         if self._feedback_enabled:
-            self.feedback.record(explanation, cores=run_config.cores)
+            for executed in measured:
+                self.feedback.record(executed, cores=cores)
         with self._lock:
             self.queries_served += 1
-        if key is not None:  # same key as the lookup: tokens already existed
-            value = (state.result_block, state.result_counted, explanation)
+        if key is not None and not explanation.session_stats.get("partial"):
+            # A partial union must never be memoized: the next serve
+            # re-attempts the failed shards instead of replaying them.
+            value = (block, counted, explanation)
             self.memo.put(key, value, _blocks_nbytes(value))
         return SessionResult(
             query_kind=query.kind,
-            result_block=state.result_block,
-            result_counted=state.result_counted,
+            result_block=block,
+            result_counted=counted,
             explanation=explanation,
             seconds=time.perf_counter() - start,
             from_memo=False,
@@ -1380,7 +1321,7 @@ class QuerySession:
             metrics.set_gauge("repro_cache_evictions", counters["evictions"],
                               cache=cache_name)
         # Per-artifact-kind hit ratios (semijoin / partition / operands /
-        # memo / shard_result / shard_merged / ...), from the cache's own
+        # memo / shard_result / ...), from the cache's own
         # per-kind accounting.
         for cache_name, store in (("artifacts", self.artifacts), ("memo", self.memo)):
             for kind, row in store.kind_stats().items():

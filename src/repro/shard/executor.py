@@ -11,19 +11,15 @@ is the unit of parallelism (it borrows the session's persistent
 inner plans never touch that pool, so the fan-out cannot deadlock the way
 nested ``map`` calls would.
 
-Four output-sensitive escapes sit in front of that pipeline:
+Three output-sensitive escapes sit in front of that pipeline:
 
 * **per-shard result cache** — when a session context is attached, every
   subquery's merged block is cached under its slices' shard tokens
   (``("shard", name, i, version)``), so a warm sharded query pays only the
-  cross-shard merge and ``update_shard`` recomputes exactly the mutated
-  shard's block while siblings re-serve theirs;
-* **merged-result patching** — after append-only writes, the session's
-  delta lineage maps each touched shard token back to its pre-append
-  parent; if the parent generation's ``("shard_merged", ...)`` entry is
-  still cached, the new merged result is that block unioned with the
-  touched shards' fresh blocks (appends are monotone under set semantics),
-  so untouched shards are not even re-read from the per-shard cache;
+  cross-shard merge and a write (``append`` / ``delete`` /
+  ``update_shard``) recomputes exactly the touched shards' blocks while
+  siblings re-serve theirs — the merged result itself is cached once, by
+  the session's memo, not here;
 * **heavy-shard rank-1 evaluation** — a heavy shard holds a single join
   key, so its two-path result is exactly the rectangle ``xs x zs`` of the
   key's neighbourhoods; it is emitted directly (in head-domain sub-blocks)
@@ -49,7 +45,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -84,11 +80,6 @@ SUB_BLOCK_PAIRS = 1 << 18
 # A heavy shard's full rectangle: the sorted distinct head values on each
 # side of its single join key.
 Rectangle = Tuple[np.ndarray, np.ndarray]
-
-# How many append generations the merged-result patch walks back looking
-# for a cached ancestor (several writes can land between two reads).
-_MAX_PATCH_DEPTH = 4
-
 
 @dataclass
 class ShardedResult:
@@ -203,62 +194,6 @@ def _outcome_nbytes(outcome: _ShardOutcome) -> int:
     if outcome.counted is not None:
         total += outcome.counted.nbytes
     return total
-
-
-def _merged_key(keys: List[Optional[Any]]) -> Optional[Any]:
-    """Key of the whole routed query's merged block.
-
-    The per-shard keys embed every slice's ``("shard", name, i, version)``
-    token, so the tuple invalidates exactly when any shard of any input
-    mutates — warm sharded serving skips the per-shard fan-out *and* the
-    cross-shard merge, which is what makes it approach memo speed.
-    """
-    if not keys or any(key is None for key in keys):
-        return None
-    return ("shard_merged", tuple(keys))
-
-
-def _merged_cached_result(routed: RoutedQuery, value: Any,
-                          seconds: float) -> ShardedResult:
-    """Rebuild a full sharded result from a merged-cache entry."""
-    merged_block, merged_counted, backend, stored_reports = value
-    shard_reports = [
-        {**row, "seconds": 0.0, "result_cached": True,
-         "cache_hits": 1, "cache_misses": 0}
-        for row in stored_reports
-    ]
-    explanation = PlanExplanation(
-        query_kind=routed.query.kind,
-        strategy="sharded",
-        backend=backend,
-        delta1=0,
-        delta2=0,
-        operators=[OperatorReport(
-            operator="shard_merged_cache",
-            status="ran",
-            actual_seconds=seconds,
-            detail={"cache": "hit", "shards_merged": len(stored_reports),
-                    "output_size": len(merged_block)},
-        )],
-        total_seconds=seconds,
-        output_size=len(merged_block),
-        session_stats={
-            "shards_planned": routed.num_shards,
-            "shards_executed": len(routed.subqueries),
-            "shards_skipped_empty": routed.skipped_empty,
-            "shard_results_cached": len(stored_reports),
-            "merged_result_cached": True,
-            "operator_cache_hits": 1,
-            "operator_cache_misses": 0,
-        },
-        shard_reports=shard_reports,
-    )
-    return ShardedResult(
-        result_block=merged_block,
-        result_counted=merged_counted,
-        explanation=explanation,
-        shard_explanations=[],
-    )
 
 
 def _cached_outcome(sub: ShardSubquery, value: Any, seconds: float) -> _ShardOutcome:
@@ -421,67 +356,42 @@ def _heavy_outcome(sub: ShardSubquery, counting: bool,
 
 
 # --------------------------------------------------------------------------- #
-# Per-shard evaluation (cache -> rank-1 -> planner) over a subquery subset
+# Per-shard evaluation (cache -> rank-1 -> planner)
 # --------------------------------------------------------------------------- #
 def _evaluate_subqueries(
-    indices: Iterable[int],
     subqueries: Sequence[ShardSubquery],
-    shard_keys: Sequence[Optional[Any]],
     counting: bool,
-    cache_ctx: Optional[Any],
+    context: Optional[Any],
     planner_for: PlannerFactory,
     shard_config: MMJoinConfig,
     executor: Optional[Any],
-    parallel: bool,
     retry_policy: Optional[RetryPolicy] = None,
-) -> Dict[int, _ShardOutcome]:
-    """Evaluate the subqueries at ``indices``; returns ``{index: outcome}``.
+) -> List[_ShardOutcome]:
+    """Evaluate every subquery; returns the outcomes in subquery order.
 
-    The full fan-out and the delta path share this helper: the main path
-    passes every index, the merged-result patch passes only the shards an
-    append touched.  Each index goes per-shard result cache -> heavy rank-1
-    rectangle -> planner pipeline, with fresh results cached under their
-    shard-token keys.
+    Each subquery goes per-shard result cache -> heavy rank-1 rectangle ->
+    planner pipeline, with fresh results cached under their shard-token
+    keys (``context=None`` is the stateless form: nothing is keyable).
 
     A subplan that keeps failing after ``retry_policy`` retries comes back
     as a failed outcome (``_ShardOutcome.failed``) rather than aborting the
     fan-out, so sibling shards' results survive for partial serving.
     """
-    indices = list(indices)
-    with obs_span("shard_fanout", shards=len(indices)):
-        return _evaluate_subqueries_impl(
-            indices, subqueries, shard_keys, counting, cache_ctx,
-            planner_for, shard_config, executor, parallel, retry_policy,
-        )
-
-
-def _evaluate_subqueries_impl(
-    indices: Sequence[int],
-    subqueries: Sequence[ShardSubquery],
-    shard_keys: Sequence[Optional[Any]],
-    counting: bool,
-    cache_ctx: Optional[Any],
-    planner_for: PlannerFactory,
-    shard_config: MMJoinConfig,
-    executor: Optional[Any],
-    parallel: bool,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> Dict[int, _ShardOutcome]:
     outcomes: Dict[int, _ShardOutcome] = {}
 
     # ---- per-shard result cache: serve warm shards outright -------------- #
     misses: List[Tuple[int, Any]] = []
-    for i in indices:
-        key = shard_keys[i]
+    for i, sub in enumerate(subqueries):
+        key = _result_key(context, sub, counting, shard_config)
         if key is not None:
             lookup_start = time.perf_counter()
             with obs_span("cache_lookup", kind="shard_result",
-                          shard=subqueries[i].shard) as sp:
-                found, value = cache_ctx.artifacts.lookup(key)
+                          shard=sub.shard) as sp:
+                found, value = context.artifacts.lookup(key)
             sp.set("outcome", "hit" if found else "miss")
             if found:
                 outcomes[i] = _cached_outcome(
-                    subqueries[i], value, time.perf_counter() - lookup_start
+                    sub, value, time.perf_counter() - lookup_start
                 )
                 continue
         misses.append((i, key))
@@ -520,7 +430,7 @@ def _evaluate_subqueries_impl(
                 "backend": outcome.explanation.backend,
                 "rect": rect,
             }
-            cache_ctx.artifacts.put(
+            context.artifacts.put(
                 key, (outcome.block, outcome.counted, meta),
                 _outcome_nbytes(outcome),
             )
@@ -561,7 +471,7 @@ def _evaluate_subqueries_impl(
             return _FailedShard(error=exc, attempts=retries + 1)
 
     pending = [subqueries[i] for i, _ in planner_misses]
-    if executor is not None and parallel and len(pending) > 1:
+    if executor is not None and len(pending) > 1:
         plans = executor.map(run_one, pending)
     else:
         plans = [run_one(sub) for sub in pending]
@@ -580,170 +490,13 @@ def _evaluate_subqueries_impl(
                 "strategy": outcome.explanation.strategy,
                 "backend": outcome.explanation.backend,
             }
-            cache_ctx.artifacts.put(
+            context.artifacts.put(
                 key, (outcome.block, outcome.counted, meta),
                 _outcome_nbytes(outcome),
             )
         outcomes[i] = outcome
 
-    return outcomes
-
-
-# --------------------------------------------------------------------------- #
-# Merged-result patching after append-only writes
-# --------------------------------------------------------------------------- #
-def _substitute_tokens(obj: Any, lookup: Callable[[Any], Optional[Any]]) -> Any:
-    """Replace every (sub)tuple that has recorded delta lineage by its parent.
-
-    One call walks the structure once, stepping each delta token back a
-    single generation; repeated calls walk further back.  Parents are
-    returned as-is (they are the older, already-canonical tokens).
-    """
-    if isinstance(obj, tuple):
-        parent = lookup(obj)
-        if parent is not None:
-            return parent
-        return tuple(_substitute_tokens(part, lookup) for part in obj)
-    return obj
-
-
-def _patched_merged_result(
-    routed: RoutedQuery,
-    shard_keys: Sequence[Optional[Any]],
-    merged_key: Any,
-    cache_ctx: Any,
-    planner_for: PlannerFactory,
-    shard_config: MMJoinConfig,
-    executor: Optional[Any],
-    parallel: bool,
-    start: float,
-    retry_policy: Optional[RetryPolicy] = None,
-) -> Optional[ShardedResult]:
-    """Patch an older cached merged result with touched shards' fresh blocks.
-
-    Append-only writes record token lineage (each new shard token -> its
-    pre-append parent) on the session context.  Walking the current shard
-    keys back through that lineage may land on a ``("shard_merged", ...)``
-    entry cached before the writes; appends are monotone under set
-    semantics, so that block unioned with the touched shards' *current*
-    blocks is exactly the new merged result — untouched shards contribute
-    through the parent block without being re-read.  Counting results are
-    not patchable (an append changes witness counts of pairs it does not
-    add) and deletes record no lineage; both fall back to the ordinary
-    per-shard path by returning ``None``, as does any lineage walk that
-    fails to reach a cached ancestor within ``_MAX_PATCH_DEPTH``.
-    """
-    lookup = getattr(cache_ctx, "delta_parent", None)
-    if lookup is None or any(key is None for key in shard_keys):
-        return None
-    parent_value = None
-    prev_keys = list(shard_keys)
-    for _ in range(_MAX_PATCH_DEPTH):
-        candidate = [_substitute_tokens(key, lookup) for key in prev_keys]
-        if candidate == prev_keys:
-            return None  # lineage exhausted without a cached ancestor
-        prev_keys = candidate
-        found, value = cache_ctx.artifacts.lookup(
-            ("shard_merged", tuple(prev_keys))
-        )
-        if found:
-            parent_value = value
-            break
-    if parent_value is None:
-        return None
-    parent_block, _parent_counted, backend, parent_reports = parent_value
-    if len(parent_reports) != len(routed.subqueries):
-        return None  # ancestor was stored for a different subquery shape
-    touched = [i for i, (new, old) in enumerate(zip(shard_keys, prev_keys))
-               if new != old]
-    outcomes = _evaluate_subqueries(
-        touched, routed.subqueries, shard_keys, False, cache_ctx,
-        planner_for, shard_config, executor, parallel, retry_policy,
-    )
-    if any(outcomes[i].failed is not None for i in touched):
-        # A delta shard kept failing: fall back to the full per-shard path,
-        # which owns the partial-vs-abort decision.
-        return None
-    fresh_blocks = [outcomes[i].block for i in touched
-                    if outcomes[i].block is not None]
-    merge_start = time.perf_counter()
-    with obs_span("shard_merge", shards=len(fresh_blocks) + 1):
-        merged_block = PairBlock.concat_all(
-            [parent_block] + fresh_blocks, arity=routed.arity
-        ).dedup()
-    merge_seconds = time.perf_counter() - merge_start
-
-    fresh_explanations = [outcomes[i].explanation for i in touched]
-    shard_reports: List[Dict[str, Any]] = []
-    for i, sub in enumerate(routed.subqueries):
-        if i in outcomes:
-            sub_exp = outcomes[i].explanation
-            shard_reports.append({
-                "shard": sub.shard,
-                "kind": sub.kind,
-                "input_tuples": sub.input_tuples,
-                "strategy": sub_exp.strategy,
-                "backend": sub_exp.backend,
-                "output_size": sub_exp.output_size,
-                "seconds": sub_exp.total_seconds,
-                "result_cached": any(
-                    op.operator == "shard_result_cache"
-                    for op in sub_exp.operators
-                ),
-                **_cache_counts(sub_exp),
-            })
-        else:
-            # Untouched shard: served entirely through the parent block.
-            shard_reports.append({
-                **parent_reports[i], "seconds": 0.0, "result_cached": True,
-                "cache_hits": 1, "cache_misses": 0,
-            })
-    explanation = PlanExplanation(
-        query_kind=routed.query.kind,
-        strategy="sharded",
-        backend=backend,
-        delta1=0,
-        delta2=0,
-        operators=[OperatorReport(
-            operator="shard_merged_patch",
-            status="ran",
-            actual_seconds=merge_seconds,
-            detail={"cache": "hit",
-                    "shards_patched": len(routed.subqueries) - len(touched),
-                    "shards_delta_executed": len(touched),
-                    "output_size": len(merged_block)},
-        )],
-        total_seconds=time.perf_counter() - start,
-        output_size=len(merged_block),
-        session_stats={
-            "shards_planned": routed.num_shards,
-            "shards_executed": len(routed.subqueries),
-            "shards_skipped_empty": routed.skipped_empty,
-            "shard_results_cached": sum(
-                1 for row in shard_reports if row.get("result_cached")
-            ),
-            "merged_result_patched": True,
-            "shards_delta_executed": len(touched),
-            "operator_cache_hits": 1 + sum(
-                _cache_counts(e)["cache_hits"] for e in fresh_explanations
-            ),
-            "operator_cache_misses": sum(
-                _cache_counts(e)["cache_misses"] for e in fresh_explanations
-            ),
-        },
-        shard_reports=shard_reports,
-    )
-    cache_ctx.artifacts.put(
-        merged_key,
-        (merged_block, None, backend, [dict(row) for row in shard_reports]),
-        merged_block.nbytes,
-    )
-    return ShardedResult(
-        result_block=merged_block,
-        result_counted=None,
-        explanation=explanation,
-        shard_explanations=fresh_explanations,
-    )
+    return [outcomes[i] for i in range(len(subqueries))]
 
 
 # --------------------------------------------------------------------------- #
@@ -755,7 +508,6 @@ def execute_sharded(
     config: MMJoinConfig,
     executor: Optional[Any] = None,
     context: Optional[Any] = None,
-    result_cache: bool = True,
     partial_results: bool = False,
     retry_policy: Optional[RetryPolicy] = None,
 ) -> ShardedResult:
@@ -771,14 +523,11 @@ def execute_sharded(
         shard subplans out when ``config.cores > 1``; ``None`` or one
         subquery runs serially.
     context:
-        The session's :class:`~repro.serve.session.SessionContext` (or
-        ``None`` outside a session); holds the artifact cache the per-shard
-        result cache lives in.
-    result_cache:
-        Disable to serve nothing from the per-shard / merged result caches
-        (every subquery re-evaluates; the micro benchmark uses this as its
-        baseline).  The heavy-shard rank-1 path stays on either way — it is
-        an evaluation strategy, not a cache.
+        The session's :class:`~repro.serve.session.SessionContext`; holds
+        the artifact cache the per-shard result cache lives in.  ``None``
+        is the stateless form: every subquery re-evaluates (the heavy-shard
+        rank-1 path stays on either way — it is an evaluation strategy, not
+        a cache).
     partial_results:
         When a shard subplan exhausts its retries, serve the completed
         shards' union (set semantics only — a partial union is a sound
@@ -791,39 +540,12 @@ def execute_sharded(
     start = time.perf_counter()
     shard_config = config.with_cores(1) if config.cores > 1 else config
     counting = routed.counting
-    subqueries = routed.subqueries
-    cache_ctx = context if result_cache else None
-    parallel = executor is not None and config.cores > 1
 
-    # ---- merged-result cache: a fully-warm query skips even the merge ---- #
-    shard_keys = [_result_key(cache_ctx, sub, counting, shard_config)
-                  for sub in subqueries]
-    merged_key = _merged_key(shard_keys) if cache_ctx is not None else None
-    if merged_key is not None:
-        with obs_span("cache_lookup", kind="shard_merged") as sp:
-            found, value = cache_ctx.artifacts.lookup(merged_key)
-        sp.set("outcome", "hit" if found else "miss")
-        if found:
-            return _merged_cached_result(
-                routed, value, time.perf_counter() - start
-            )
-        if not counting:
-            # ---- merged-result patching after append-only writes -------- #
-            with obs_span("delta_patch") as patch_span:
-                patched = _patched_merged_result(
-                    routed, shard_keys, merged_key, cache_ctx, planner_for,
-                    shard_config, executor, parallel, start, retry_policy,
-                )
-            patch_span.set("outcome", "patched" if patched is not None else "fallback")
-            if patched is not None:
-                return patched
-
-    outcome_map = _evaluate_subqueries(
-        range(len(subqueries)), subqueries, shard_keys, counting,
-        cache_ctx, planner_for, shard_config, executor, parallel,
-        retry_policy,
-    )
-    outcomes = [outcome_map[i] for i in range(len(subqueries))]
+    with obs_span("shard_fanout", shards=len(routed.subqueries)):
+        outcomes = _evaluate_subqueries(
+            routed.subqueries, counting, context, planner_for, shard_config,
+            executor if config.cores > 1 else None, retry_policy,
+        )
 
     # ---- per-shard failure isolation ------------------------------------- #
     failures = [outcome.failed for outcome in outcomes
@@ -859,17 +581,6 @@ def execute_sharded(
         merge_seconds=merge_seconds,
         total_seconds=time.perf_counter() - start,
     )
-    if merged_key is not None and not failures:
-        # Never cache a partial union: the next serve must re-attempt the
-        # failed shards, not re-serve their absence.
-        cache_ctx.artifacts.put(
-            merged_key,
-            (merged_block, merged_counted, explanation.backend,
-             [dict(row) for row in explanation.shard_reports]),
-            merged_block.nbytes + (
-                merged_counted.nbytes if merged_counted is not None else 0
-            ),
-        )
     return ShardedResult(
         result_block=merged_block,
         result_counted=merged_counted,

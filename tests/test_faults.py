@@ -413,6 +413,32 @@ class TestSessionFaultTolerance:
             assert not recovered.from_memo
             assert recovered.pairs == oracle_pairs
 
+    @pytest.mark.parametrize("shards", [1, 4])
+    def test_executed_results_leave_through_one_tail(self, oracle_pairs, shards):
+        # Sharded and unsharded executions share the count -> memo.put ->
+        # SessionResult tail; only the never-memoise-a-partial guard differs.
+        rel = _relation()
+        with QuerySession(shards=shards, retry_policy=FAST) as session:
+            session.register(rel, "R", sharded=shards > 1)
+            query = TwoPathQuery(left=session.relation("R"),
+                                 right=session.relation("R"))
+            if shards > 1:
+                plan = FaultPlan([FaultRule(SITE_SHARD_SUBPLAN, "error",
+                                            count=FAST.max_attempts)])
+                with inject(plan):
+                    partial = session.submit(query, partial_results=True)
+                assert partial.partial and partial.plan is None
+                assert session.queries_served == 1
+                assert session.memo.stats()["entries"] == 0
+            served = session.queries_served
+            result = session.submit(query)
+            assert result.pairs == oracle_pairs and not result.from_memo
+            assert (result.strategy == "sharded") == (shards > 1)
+            assert session.queries_served == served + 1
+            assert session.memo.stats()["entries"] == 1
+            assert session.submit(query).from_memo
+            assert session.queries_served == served + 1
+
     def test_partial_results_reject_counting(self):
         rel = _relation()
         with QuerySession(shards=4) as session:

@@ -19,7 +19,7 @@ from repro.serve.artifacts import (
     ArtifactCache,
     token_mentions,
     token_mentions_any_shard,
-    token_mentions_shard_update,
+    token_mentions_write,
 )
 from repro.shard.sharded import ShardedRelation
 from repro.shard.spec import ShardingSpec
@@ -189,12 +189,14 @@ class TestShardTokens:
         assert not token_mentions(derived, "Q")
 
     def test_shard_update_predicate_spares_siblings(self):
-        assert token_mentions_shard_update(self.BASE, "R", 2)
-        assert token_mentions_shard_update(self.SHARD, "R", 2)
-        assert not token_mentions_shard_update(self.SIBLING, "R", 2)
-        assert not token_mentions_shard_update(self.OTHER, "R", 2)
+        # update_shard is a write touching one shard: same predicate.
+        assert token_mentions_write(self.BASE, "R", {2})
+        assert token_mentions_write(self.SHARD, "R", {2})
+        assert not token_mentions_write(self.SIBLING, "R", {2})
+        assert not token_mentions_write(self.OTHER, "R", {2})
         nested = ("partition", (("drv", "x", (self.SIBLING,), None, 0),))
-        assert not token_mentions_shard_update(nested, "R", 2)
+        assert not token_mentions_write(nested, "R", {2})
+        assert token_mentions_write(nested, "R", {2, 3})
 
     def test_any_shard_predicate_ignores_base(self):
         assert token_mentions_any_shard(self.SHARD, "R")
@@ -206,7 +208,7 @@ class TestShardTokens:
         cache.put(("semijoin", (self.SHARD, self.OTHER)), 1, 8)
         cache.put(("semijoin", (self.SIBLING, self.OTHER)), 2, 8)
         cache.put(("memo", (self.BASE,)), 3, 8)
-        dropped = cache.invalidate_shard("R", 2)
+        dropped = cache.invalidate_write("R", {2})
         assert dropped == 2
         assert ("semijoin", (self.SIBLING, self.OTHER)) in cache
 

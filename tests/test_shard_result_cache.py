@@ -16,7 +16,10 @@ from repro.core.config import MMJoinConfig
 from repro.data.relation import Relation
 from repro.joins.baseline import combinatorial_two_path
 from repro.joins.hash_join import hash_join_project_counts
+from repro.plan.planner import Planner
+from repro.plan.query import TwoPathQuery
 from repro.serve import QuerySession
+from repro.shard import ShardRouter, execute_sharded
 from repro.shard.sharded import LazyCombinedRelation, ShardedRelation
 from repro.shard.spec import ShardingSpec
 
@@ -49,26 +52,49 @@ class TestResultCacheServing:
             assert cold.pairs == expected
             assert not any(row["result_cached"]
                            for row in cold.explanation.shard_reports)
+            # use_memo=False means what it says: the finished result is not
+            # looked up, so every shard's block comes from the artifact
+            # cache and the cross-shard merge runs again.
             warm = session.two_path("R", "S", use_memo=False)
             assert warm.pairs == expected
-            # The fully-warm query takes the merged-result fast path.
-            stats = warm.explanation.session_stats
-            assert stats.get("merged_result_cached") or all(
-                row["result_cached"] or row["strategy"] == "heavy_skipped"
-                for row in warm.explanation.shard_reports
-            )
+            assert not warm.from_memo
+            # (A heavy shard whose rectangle a sibling partly covers emits a
+            # reduced block that is not a function of its own slices alone,
+            # so it is re-emitted rank-1 instead of cached.)
+            assert all(row["result_cached"] or row["kind"] == "heavy"
+                       for row in warm.explanation.shard_reports)
+            ran = {op.operator for op in warm.explanation.operators
+                   if op.status == "ran"}
+            assert {"shard_result_cache", "shard_merge"} <= ran
+            assert ran <= {"shard_result_cache", "heavy_shard_rectangle",
+                           "shard_merge"}
+            # The memo is the one cache of finished results.
+            assert not session.two_path("R", "S").from_memo
+            memoised = session.two_path("R", "S")
+            assert memoised.from_memo and memoised.pairs == expected
 
-    def test_disabled_result_cache_reverts_to_pipeline(self):
+    def test_stateless_execution_reverts_to_pipeline(self):
+        """``context=None``: nothing is keyable, every subquery re-evaluates."""
         left = random_relation(43, n_pairs=300, x_domain=40, y_domain=25, name="R")
         right = random_relation(44, n_pairs=300, x_domain=40, y_domain=25, name="S")
         expected = combinatorial_two_path(left, right)
-        with _session(left, right, shard_result_cache=False) as session:
-            session.two_path("R", "S", use_memo=False)
-            warm = session.two_path("R", "S", use_memo=False)
-            assert warm.pairs == expected
-            assert "merged_result_cached" not in warm.explanation.session_stats
+        spec = ShardingSpec(4)
+        containers = {
+            id(rel): (rel.name, ShardedRelation.partition(rel, spec, name=rel.name))
+            for rel in (left, right)
+        }
+        routed = ShardRouter(lambda rel: containers.get(id(rel))).route(
+            TwoPathQuery(left=left, right=right)
+        )
+        assert routed is not None
+        for _ in range(2):  # a second run finds nothing cached either
+            result = execute_sharded(
+                routed, planner_for=lambda config: Planner(config=config),
+                config=CONFIG,
+            )
+            assert result.result_block.to_set() == expected
             assert not any(row["result_cached"]
-                           for row in warm.explanation.shard_reports)
+                           for row in result.explanation.shard_reports)
 
     def test_counting_mode_counts_survive_caching(self):
         left = skewed_random_relation(45, n_pairs=350, x_domain=40, y_domain=24, name="R")
@@ -112,7 +138,6 @@ class TestResultCacheInvalidation:
             session.two_path("R", "S", use_memo=False)
             session.register(replacement, name="R", sharded=True)
             fresh = session.two_path("R", "S", use_memo=False)
-            assert "merged_result_cached" not in fresh.explanation.session_stats
             assert not any(row["result_cached"]
                            for row in fresh.explanation.shard_reports)
             assert fresh.pairs == combinatorial_two_path(replacement, right)

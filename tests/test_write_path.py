@@ -2,10 +2,12 @@
 
 Covers the tentpole behaviours — hash-routed delta application under the
 frozen spec, lazy write absorption (pending delta blocks that fold on read
-or when the threshold trips), and the merged-result patch that re-serves
-untouched shards from cache after an append — plus the hardened write
-edges (empty deltas, strict vs idempotent deletes, unsharded fallbacks)
-and pickle/deepcopy/process-pool round-trips of the lazy combined view.
+or when the threshold trips), and the post-write read that re-runs exactly
+the touched shards' subplans while siblings re-serve their cached blocks
+(one invalidation for append, delete and ``update_shard``, which strands no
+retired generation in either cache) — plus the hardened write edges (empty
+deltas, strict vs idempotent deletes, unsharded fallbacks) and
+pickle/deepcopy/process-pool round-trips of the lazy combined view.
 """
 
 from __future__ import annotations
@@ -239,67 +241,108 @@ class TestWriteEdges:
 
 
 # --------------------------------------------------------------------------- #
-# Merged-result patching
+# Reads after a write
 # --------------------------------------------------------------------------- #
-class TestMergedResultPatch:
-    def test_append_patches_merged_result(self, write_inputs):
+def _assert_only_touched_reran(result, touched):
+    """Touched shards went through their subplan; every sibling was cached."""
+    rows = {row["shard"]: row for row in result.explanation.shard_reports}
+    assert set(touched) <= set(rows)
+    for shard, row in rows.items():
+        assert row["result_cached"] == (shard not in touched), (shard, row)
+    stats = result.explanation.session_stats
+    assert stats["shard_results_cached"] == len(rows) - len(touched)
+
+
+class TestPostWriteRead:
+    def test_append_reruns_only_the_touched_shard(self, write_inputs):
         left, right = write_inputs
         with _session(left, right) as session:
-            session.two_path("R", "S", use_memo=False)  # warm the merged cache
+            session.two_path("R", "S", use_memo=False)  # warm the shard blocks
             delta = _rows_for_shard(session, "R", 0, 3)
             session.append("R", delta)
-            patched = session.two_path("R", "S", use_memo=False)
-            stats = patched.explanation.session_stats
-            assert stats.get("merged_result_patched") is True
-            assert stats.get("shards_delta_executed") == 1
+            result = session.two_path("R", "S", use_memo=False)
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta)), name="R")
-            assert patched.pairs == combinatorial_two_path(merged, right)
-            # Untouched shards re-served their cached results.
-            rows = {row["shard"]: row
-                    for row in patched.explanation.shard_reports}
-            cached = [s for s, row in rows.items() if row.get("result_cached")]
-            assert len(cached) >= len(rows) - 1
+            assert result.pairs == combinatorial_two_path(merged, right)
+            _assert_only_touched_reran(result, {0})
 
-    def test_patch_chain_across_consecutive_appends(self, write_inputs):
+    def test_two_appends_without_a_read_between(self, write_inputs):
         left, right = write_inputs
         with _session(left, right) as session:
             session.two_path("R", "S", use_memo=False)
             first = _rows_for_shard(session, "R", 0, 2)
             second = _rows_for_shard(session, "R", 1, 2, start_x=20_000)
             session.append("R", first)
-            session.append("R", second)  # no read in between: depth-2 lineage
-            patched = session.two_path("R", "S", use_memo=False)
-            assert patched.explanation.session_stats.get(
-                "merged_result_patched") is True
+            session.append("R", second)
+            result = session.two_path("R", "S", use_memo=False)
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(first) | set(second)), name="R")
-            assert patched.pairs == combinatorial_two_path(merged, right)
+            assert result.pairs == combinatorial_two_path(merged, right)
+            _assert_only_touched_reran(result, {0, 1})
 
-    def test_delete_falls_back_to_per_shard_rebuild(self, write_inputs):
+    def test_delete_reruns_only_the_touched_shards(self, write_inputs):
         left, right = write_inputs
         with _session(left, right) as session:
             session.two_path("R", "S", use_memo=False)
-            session.delete("R", sorted(_pairs(left))[:5])
+            doomed = sorted(_pairs(left))[:5]
+            owners = session.sharding_spec.shard_of_keys(
+                np.array([y for _, y in doomed], dtype=np.int64))
+            session.delete("R", doomed)
             result = session.two_path("R", "S", use_memo=False)
-            assert not result.explanation.session_stats.get(
-                "merged_result_patched")
             remaining = Relation.from_pairs(
                 sorted(_pairs(left))[5:], name="R")
             assert result.pairs == combinatorial_two_path(remaining, right)
+            _assert_only_touched_reran(result, set(owners.tolist()))
 
-    def test_counting_query_not_patched_but_correct(self, write_inputs):
+    def test_counting_read_after_append(self, write_inputs):
         left, right = write_inputs
         with _session(left, right) as session:
             session.two_path("R", "S", counting=True, use_memo=False)
             delta = _rows_for_shard(session, "R", 0, 3)
             session.append("R", delta)
             result = session.two_path("R", "S", counting=True, use_memo=False)
-            assert not result.explanation.session_stats.get(
-                "merged_result_patched")
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta)), name="R")
             assert result.counts == hash_join_project_counts(merged, right)
+            _assert_only_touched_reran(result, {0})
+
+    def test_write_read_cycles_strand_no_generation(self, write_inputs):
+        """20 append -> read cycles: both caches stay at their 2nd-cycle size.
+
+        Every cycle retires one generation of the touched shards' artifacts
+        and of the memoised result; the write sweeps them, so the caches
+        hold one generation however many writes have landed.
+        """
+        left, right = write_inputs
+        with _session(left, right, lazy_merge_rows=4096) as session:
+            session.two_path("R", "S")
+            appended = set()
+            sizes = []
+            for cycle in range(20):
+                # Join keys inside S's domain, so the result really grows.
+                delta = [(30_000 + cycle, (7 * cycle) % 40),
+                         (30_000 + cycle, (7 * cycle + 3) % 40)]
+                appended.update(delta)
+                session.append("R", delta)
+                result = session.two_path("R", "S")
+                assert not result.from_memo
+                sizes.append((session.artifacts.stats(), session.memo.stats(),
+                              result.result_block.nbytes))
+            merged = Relation.from_pairs(
+                sorted(_pairs(left) | appended), name="R")
+            assert result.pairs == combinatorial_two_path(merged, right)
+            artifacts_2nd, memo_2nd, result_2nd = sizes[1]
+            artifacts, memo, result_bytes = sizes[-1]
+            assert memo["entries"] == memo_2nd["entries"] == 1
+            assert memo["bytes"] == result_bytes
+            assert artifacts["entries"] == artifacts_2nd["entries"]
+            # The appended rows' share: the result's growth is held once
+            # more as the touched shards' result blocks, and at most as much
+            # again by their semijoin / partition / operand artifacts.
+            grown = result_bytes - result_2nd
+            assert 0 < grown
+            assert artifacts["bytes"] <= artifacts_2nd["bytes"] + 2 * grown
+            assert artifacts["evictions"] == 0 and memo["evictions"] == 0
 
 
 # --------------------------------------------------------------------------- #
