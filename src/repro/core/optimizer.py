@@ -16,6 +16,11 @@ calibrated matrix-multiplication cost model ``M_hat``.
 The search mirrors the paper's: start from ``delta1 = N``, shrink it
 geometrically, derive ``delta2 = N * delta1 / |OUT|`` from the balancing
 condition, and stop as soon as the estimated total cost stops improving.
+The whole geometric grid is priced in one array pass — vector
+``searchsorted`` reads of the degree indexes and one matrix-model call over
+the grid points whose heavy product is non-empty — and the stop rule then
+picks the same step the paper's loop would.  A self-join shares one set of
+degree statistics between its two sides.
 """
 
 from __future__ import annotations
@@ -23,16 +28,18 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.core.estimation import estimate_output_size, estimate_star_output_size
 from repro.data.indexes import DegreeStatistics
 from repro.data.relation import Relation
 from repro.matmul.cost_model import MatMulCostModel
 
-# Hard cap on the star grid search, mirroring the two-path search's 200-step
-# bound; the power-of-two grid is quadratic in log(max_degree) so this is
-# only reached on extremely skewed inputs.
-STAR_SEARCH_CAP = 200
+# Hard cap on the threshold searches (two-path grid steps, star grid pairs);
+# the star's power-of-two grid is quadratic in log(max_degree) so the cap is
+# only reached there on extremely skewed inputs.
+SEARCH_CAP = 200
 
 # Geometric factor by which the two-path search shrinks ``delta1`` per
 # iteration (the paper's ``1 - epsilon``).
@@ -99,29 +106,23 @@ class CostBasedOptimizer:
             )
 
         stats_left = DegreeStatistics.from_relation(left)
-        stats_right = DegreeStatistics.from_relation(right)
+        stats_right = stats_left if right is left else DegreeStatistics.from_relation(right)
         out_estimate = max(estimate.estimate, 1.0)
 
-        best: Optional[Tuple[float, int, int, float, float]] = None
-        prev_total = float("inf")
-        delta1 = float(max(stats_left.y_index.max_degree(), stats_right.y_index.max_degree(), 1))
-        steps = 0
-        while delta1 >= 1.0 and steps < 200:
-            steps += 1
-            delta2 = max(n * delta1 / out_estimate, 1.0)
-            light = self._light_cost(stats_left, stats_right, delta1, delta2)
-            heavy = self._heavy_cost(stats_left, stats_right, delta1, delta2)
-            total = light + heavy
-            if best is None or total < best[0]:
-                best = (total, int(round(delta1)), int(round(delta2)), light, heavy)
-            if total > prev_total:
-                # Cost started growing again: the previous iterate was the minimum.
-                break
-            prev_total = total
-            delta1 *= THRESHOLD_SHRINK
+        top = float(max(stats_left.y_index.max_degree(), stats_right.y_index.max_degree(), 1))
+        grid = np.cumprod(np.r_[top, np.full(SEARCH_CAP - 1, THRESHOLD_SHRINK)])
+        delta1 = grid[grid >= 1.0]
+        delta2 = np.maximum(n * delta1 / out_estimate, 1.0)
+        light, heavy = self._grid_costs(stats_left, stats_right, delta1, delta2)
+        totals = light + heavy
+        # The search stops at the first step whose cost exceeds the previous
+        # one; the best step is the first minimum among those evaluated.
+        rises = np.flatnonzero(totals[1:] > totals[:-1])
+        steps = int(rises[0]) + 2 if rises.size else int(totals.size)
+        best = int(np.argmin(totals[:steps]))
+        total = float(totals[best])
+        d1, d2 = int(round(float(delta1[best]))), int(round(float(delta2[best])))
 
-        assert best is not None
-        total, d1, d2, light, heavy = best
         wcoj_cost = self._wcoj_cost(out_join, n)
         if wcoj_cost <= total:
             return OptimizerDecision(
@@ -140,8 +141,8 @@ class CostBasedOptimizer:
             estimated_cost=total,
             estimated_output=out_estimate,
             full_join_size=out_join,
-            light_cost=light,
-            heavy_cost=heavy,
+            light_cost=float(light[best]),
+            heavy_cost=float(heavy[best]),
             search_steps=steps,
         )
 
@@ -186,7 +187,7 @@ class CostBasedOptimizer:
                 if pair in seen:
                     continue
                 seen.add(pair)
-                if steps >= STAR_SEARCH_CAP:
+                if steps >= SEARCH_CAP:
                     capped = True
                     break
                 steps += 1
@@ -232,49 +233,36 @@ class CostBasedOptimizer:
         """Cost of the plain worst-case optimal join + dedup."""
         return (full_join_size + n) * self.constants.random_insert
 
-    def _light_cost(
-        self,
-        stats_left: DegreeStatistics,
-        stats_right: DegreeStatistics,
-        delta1: float,
-        delta2: float,
-    ) -> float:
-        """Estimated cost of the light sub-joins (paper line 10-11 of Alg. 3).
+    def _grid_costs(self, sl: DegreeStatistics, sr: DegreeStatistics, delta1: np.ndarray,
+                    delta2: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Estimated light and heavy cost at every ``(delta1, delta2)`` grid point.
 
-        ``sum(y_delta1)`` bounds the expansions caused by light witnesses,
-        ``sum(x_delta2)`` the tuples incident to light head values (each of
-        which is expanded at most ``delta1``-fold on the other side), and
-        ``cdfx(y_delta1)`` the per-tuple scanning effort.
+        Light (paper lines 10-11 of Alg. 3): ``sum(y_delta1)`` bounds the
+        expansions caused by light witnesses, ``sum(x_delta2)`` the tuples
+        incident to light head values (each expanded at most ``delta1``-fold
+        on the other side), and ``cdfx(y_delta1)`` the per-tuple scanning
+        effort.  Heavy (lines 12-13): the matrix model's multiply plus
+        construction cost of the ``u x v @ v x w`` heavy product, priced only
+        where no side is empty.
         """
         c = self.constants
-        light_witness_work = stats_left.sum_y(delta1) + stats_right.sum_y(delta1)
-        light_head_work = (
-            stats_left.sum_x(delta2) + stats_right.sum_x(delta2)
-        ) * max(delta1, 1.0)
-        scan_work = stats_left.cdfx_y(delta1) + stats_right.cdfx_y(delta1)
-        alloc_work = stats_left.domain_x + stats_right.domain_x
-        return (
+        light_witness_work = sl.sum_y(delta1) + sr.sum_y(delta1)
+        light_head_work = (sl.sum_x(delta2) + sr.sum_x(delta2)) * np.maximum(delta1, 1.0)
+        scan_work = sl.cdfx_y(delta1) + sr.cdfx_y(delta1)
+        alloc_work = sl.domain_x + sr.domain_x
+        light = (
             c.random_insert * (light_witness_work + light_head_work)
             + c.sequential_access * scan_work
             + c.allocation * alloc_work
         )
-
-    def _heavy_cost(
-        self,
-        stats_left: DegreeStatistics,
-        stats_right: DegreeStatistics,
-        delta1: float,
-        delta2: float,
-    ) -> float:
-        """Estimated cost of the heavy matrix product (paper line 12-13)."""
-        u = stats_left.heavy_x_count(delta2)
-        v = max(stats_left.heavy_y_count(delta1), stats_right.heavy_y_count(delta1))
-        w = stats_right.heavy_x_count(delta2)
-        if min(u, v, w) == 0:
-            return 0.0
-        multiply = self.matmul_model.estimate(u, v, w, cores=self.config.cores)
-        construct = self.matmul_model.estimate_construction(u, v, w, cores=self.config.cores)
-        return multiply + construct
+        u, w = sl.heavy_x_count(delta2), sr.heavy_x_count(delta2)
+        v = np.maximum(sl.heavy_y_count(delta1), sr.heavy_y_count(delta1))
+        live = (u > 0) & (v > 0) & (w > 0)
+        dims, cores = (u[live], v[live], w[live]), self.config.cores
+        heavy = np.zeros(delta1.size)
+        heavy[live] = (self.matmul_model.estimate(*dims, cores=cores)
+                       + self.matmul_model.estimate_construction(*dims, cores=cores))
+        return light, heavy
 
 
 def _power_of_two_grid(max_value: int) -> List[int]:

@@ -1,8 +1,8 @@
-"""A small catalog of named relations with cached statistics.
+"""A small catalog of named relations.
 
 Query-level entry points (the engines in :mod:`repro.engines` and the bench
-harness) operate over a :class:`Catalog` so that index construction and
-degree statistics are shared between repeated runs, mirroring how the paper's
+harness) operate over a :class:`Catalog` so that a relation's lazily built
+indexes are shared between repeated runs, mirroring how the paper's
 prototype indexes every relation once during preprocessing.
 """
 
@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from typing import Dict, Iterator, Optional
 
-from repro.data.indexes import DegreeStatistics
 from repro.data.relation import Relation, RelationStats
 
 
@@ -19,17 +18,15 @@ class CatalogError(KeyError):
 
 
 class Catalog:
-    """A named collection of relations and their cached statistics."""
+    """A named collection of relations."""
 
     def __init__(self) -> None:
         self._relations: Dict[str, Relation] = {}
-        self._statistics: Dict[str, DegreeStatistics] = {}
 
     def add(self, relation: Relation, name: Optional[str] = None) -> str:
         """Register a relation; returns the name under which it is stored."""
         key = name or relation.name
         self._relations[key] = relation
-        self._statistics.pop(key, None)
         return key
 
     def get(self, name: str) -> Relation:
@@ -40,9 +37,8 @@ class Catalog:
             raise CatalogError(f"unknown relation {name!r}") from exc
 
     def remove(self, name: str) -> None:
-        """Drop a relation and any cached statistics."""
+        """Drop a relation."""
         self._relations.pop(name, None)
-        self._statistics.pop(name, None)
 
     def __contains__(self, name: str) -> bool:
         return name in self._relations
@@ -56,12 +52,6 @@ class Catalog:
     def names(self) -> list:
         """Sorted list of relation names."""
         return sorted(self._relations)
-
-    def statistics(self, name: str) -> DegreeStatistics:
-        """Degree statistics of one relation (built once, then cached)."""
-        if name not in self._statistics:
-            self._statistics[name] = DegreeStatistics.from_relation(self.get(name))
-        return self._statistics[name]
 
     def stats_table(self) -> Dict[str, RelationStats]:
         """Table-2-style statistics for every relation in the catalog."""

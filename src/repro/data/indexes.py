@@ -13,17 +13,18 @@ single linear pass over an indexed relation and queried with binary search:
   most ``delta``.
 
 All three are represented here by :class:`DegreeIndex`, a sorted vector of
-per-value degrees together with prefix sums, so any query is O(log n).  The
-degree vectors come straight from the relation's CSR indexes
-(``Relation.csr_x().degrees`` / ``csr_y().degrees``), so building the indexes
-is a linear pass of array operations plus the sort by degree — no per-value
-Python work.
+per-value degrees together with prefix sums, so any query is O(log n) — and
+a whole grid of thresholds is one vector ``searchsorted`` into ``degrees``
+plus a gather from ``prefix``.  The degree vectors come straight from the
+relation's CSR indexes (``Relation.csr_x().degrees`` / ``csr_y().degrees``):
+building the indexes is one sort per degree vector plus prefix sums — no
+per-value Python work.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -34,43 +35,48 @@ from repro.data.relation import Relation
 class DegreeIndex:
     """Sorted per-value degree vector with prefix sums.
 
-    ``degrees`` is sorted ascending.  ``weights`` holds, per value, the
-    quantity whose prefix-sum we want (by default the degree itself, but the
-    ``sum(y_delta)`` index uses squared inverted-list lengths).
+    The index sorts ``degrees`` ascending itself: one ``np.sort`` when the
+    weights default to the degrees, a stable ``argsort`` that carries given
+    ``weights`` along otherwise (one linear pass on already sorted input).
+    ``weights`` holds, per value, the quantity whose prefix-sum we want (by
+    default the degree itself, but the ``sum(y_delta)`` index uses squared
+    inverted-list lengths).  The ``count`` / ``sum`` queries take one
+    threshold or an array of them (one ``searchsorted`` for the array).
     """
 
     degrees: np.ndarray
     weights: np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        self.degrees = np.asarray(self.degrees, dtype=np.int64)
-        order = np.argsort(self.degrees, kind="stable")
-        self.degrees = self.degrees[order]
+        degrees = np.asarray(self.degrees, dtype=np.int64)
         if self.weights is None:
+            self.degrees = np.sort(degrees)
             self.weights = self.degrees.astype(np.float64)
         else:
+            order = np.argsort(degrees, kind="stable")
+            self.degrees = degrees[order]
             self.weights = np.asarray(self.weights, dtype=np.float64)[order]
-        self._prefix = np.concatenate([[0.0], np.cumsum(self.weights)])
+        self.prefix = np.concatenate([[0.0], np.cumsum(self.weights)])
 
-    def count_at_most(self, delta: float) -> int:
+    def count_at_most(self, delta):
         """``count(w_delta)``: number of values with degree <= delta."""
-        return int(np.searchsorted(self.degrees, delta, side="right"))
+        return np.searchsorted(self.degrees, delta, side="right")
 
-    def count_above(self, delta: float) -> int:
+    def count_above(self, delta):
         """Number of values with degree > delta (the heavy values)."""
-        return int(self.degrees.size - self.count_at_most(delta))
+        return self.degrees.size - self.count_at_most(delta)
 
-    def sum_at_most(self, delta: float) -> float:
+    def sum_at_most(self, delta):
         """Prefix sum of the weights of values with degree <= delta."""
-        return float(self._prefix[self.count_at_most(delta)])
+        return self.prefix[self.count_at_most(delta)]
 
-    def sum_above(self, delta: float) -> float:
+    def sum_above(self, delta):
         """Suffix sum of the weights of values with degree > delta."""
-        return float(self._prefix[-1] - self.sum_at_most(delta))
+        return self.prefix[-1] - self.sum_at_most(delta)
 
     def total(self) -> float:
         """Sum of all weights."""
-        return float(self._prefix[-1])
+        return float(self.prefix[-1])
 
     def num_values(self) -> int:
         """Number of distinct values indexed."""
@@ -117,56 +123,53 @@ class DegreeStatistics:
 
     @classmethod
     def from_relation(cls, relation: Relation) -> "DegreeStatistics":
-        """Build all indexes from the relation's CSR degree vectors."""
-        deg_x = relation.csr_x().degrees
-        deg_y = relation.csr_y().degrees
-        weight_y = deg_y.astype(np.float64)
-        x_index = DegreeIndex(deg_x)
-        y_index = DegreeIndex(deg_y, weight_y * weight_y)
-        y_tuple_cdf = DegreeIndex(deg_y, weight_y)
+        """Build all indexes from the relation's CSR degree vectors.
+
+        Each degree vector is sorted once: the ``deg²`` index takes the
+        ``y`` vector already sorted by the ``cdfx`` index, with its weights
+        squared.
+        """
+        x_index = DegreeIndex(relation.csr_x().degrees)
+        y_tuple_cdf = DegreeIndex(relation.csr_y().degrees)
+        y_index = DegreeIndex(y_tuple_cdf.degrees, y_tuple_cdf.weights * y_tuple_cdf.weights)
         return cls(
             x_index=x_index,
             y_index=y_index,
             y_tuple_cdf=y_tuple_cdf,
             num_tuples=len(relation),
-            domain_x=int(deg_x.size),
-            domain_y=int(deg_y.size),
+            domain_x=x_index.num_values(),
+            domain_y=y_tuple_cdf.num_values(),
         )
 
-    # Optimizer query helpers ------------------------------------------------
-    def light_x_count(self, delta: float) -> int:
+    # Optimizer query helpers: one threshold or an array of thresholds -------
+    def light_x_count(self, delta):
         """Number of x values with degree <= delta."""
         return self.x_index.count_at_most(delta)
 
-    def heavy_x_count(self, delta: float) -> int:
+    def heavy_x_count(self, delta):
         """Number of x values with degree > delta."""
         return self.x_index.count_above(delta)
 
-    def light_y_count(self, delta: float) -> int:
+    def light_y_count(self, delta):
         """Number of y values with degree <= delta."""
         return self.y_index.count_at_most(delta)
 
-    def heavy_y_count(self, delta: float) -> int:
+    def heavy_y_count(self, delta):
         """Number of y values with degree > delta."""
         return self.y_index.count_above(delta)
 
-    def sum_x(self, delta: float) -> float:
+    def sum_x(self, delta):
         """``sum(x_delta)``: tuples incident to light x values."""
         return self.x_index.sum_at_most(delta)
 
-    def sum_y(self, delta: float) -> float:
+    def sum_y(self, delta):
         """``sum(y_delta)``: sum of squared inverted-list lengths of light y."""
         return self.y_index.sum_at_most(delta)
 
-    def cdfx_y(self, delta: float) -> float:
+    def cdfx_y(self, delta):
         """``cdfx(y_delta)``: tuples whose y endpoint has degree <= delta."""
         return self.y_tuple_cdf.sum_at_most(delta)
 
     def heavy_dimensions(self, delta_x: float, delta_y: float) -> Tuple[int, int]:
         """Dimensions (heavy x count, heavy y count) of the heavy matrix."""
         return self.heavy_x_count(delta_x), self.heavy_y_count(delta_y)
-
-
-def build_statistics(relations: Dict[str, Relation]) -> Dict[str, DegreeStatistics]:
-    """Build :class:`DegreeStatistics` for every relation in a mapping."""
-    return {name: DegreeStatistics.from_relation(rel) for name, rel in relations.items()}

@@ -202,7 +202,7 @@ class Relation:
         ``pairs`` is already lexicographically sorted and deduplicated.
     """
 
-    __slots__ = ("name", "_data", "_csr_x", "_csr_y")
+    __slots__ = ("name", "_data", "_csr_x", "_csr_y", "__weakref__")
 
     def __init__(
         self,
@@ -460,25 +460,25 @@ class Relation:
         mask = np.isin(mine, theirs)
         return self.filter_pairs(mask, name=name)
 
-    def project_x(self) -> np.ndarray:
-        """Projection onto the x column (sorted distinct values)."""
-        return self.x_values()
-
-    def project_y(self) -> np.ndarray:
-        """Projection onto the y column (sorted distinct values)."""
-        return self.y_values()
-
     def semijoin_y(self, other: "Relation", name: Optional[str] = None) -> "Relation":
         """Semijoin: keep tuples whose y value also appears in ``other``'s y column.
 
         This is the linear-time preprocessing the paper assumes ("we have
         removed any tuples that do not contribute to the query result").
+        Whether anything dangles is decided on the two distinct-``y`` key
+        arrays; when nothing does (always for a self-join) the result is
+        this relation itself — no per-tuple pass, no copy, and its indexes
+        stay warm.
         """
         if len(self) == 0:
             return Relation.empty(name or self.name)
-        other_ys = other.y_values()
-        mask = np.isin(self._data[:, 1], other_ys)
-        return self.filter_pairs(mask, name=name)
+        if other is self:
+            return self
+        mine = self.y_values()
+        kept = np.isin(mine, other.y_values(), assume_unique=True)
+        if kept.all():
+            return self
+        return self.restrict_y(mine[kept], name=name)
 
     def sample_tuples(self, k: int, seed: int = 0, name: Optional[str] = None) -> "Relation":
         """Uniform random sample (without replacement) of ``k`` tuples."""
@@ -560,7 +560,10 @@ def full_join_size(relations: Sequence[Relation]) -> int:
         return 0
     indexes = [rel.csr_y() for rel in relations]
     shared = min(indexes, key=lambda index: index.keys.size).keys
-    degrees = [index.degrees_of(shared) for index in indexes]
+    degrees = [
+        index.degrees if np.array_equal(index.keys, shared) else index.degrees_of(shared)
+        for index in indexes
+    ]
     if math.prod(len(rel) for rel in relations) < 2**63:
         return int(np.prod(degrees, axis=0).sum())
     return sum(math.prod(row) for row in zip(*(d.tolist() for d in degrees)))

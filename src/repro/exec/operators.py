@@ -115,11 +115,16 @@ class PhysicalOperator:
 class SemijoinReduce(PhysicalOperator):
     """Drop dangling tuples: keep only witnesses shared by every relation.
 
+    A relation with no dangling tuple (every input of a self-join) passes
+    through as the input object itself, so it keeps its token and its CSR
+    indexes, and only the relations that actually shrink are copied.
+
     Session-aware: under a :class:`~repro.serve.session.SessionContext` the
     reduced relation list is cached by the input relations' tokens — a warm
     hit returns the *same* ``Relation`` objects, so their lazily built
     layouts (the per-column CSR indexes behind ``sorted_by_y``) come back warm
-    with them.
+    with them.  Only the reduced copies are bound to derived tokens and
+    charged to the artifact cache; a passed-through input is the catalog's.
     """
 
     name = "semijoin_reduce"
@@ -149,7 +154,8 @@ class SemijoinReduce(PhysicalOperator):
                     reduced, "semijoin", ctx.tokens_for(relations) or (),
                     state.mode == MODE_STAR,
                 )
-                ctx.artifacts.put(key, reduced, _relation_bytes(reduced))
+                copies = [out for out, rel in zip(reduced, relations) if out is not rel]
+                ctx.artifacts.put(key, reduced, _relation_bytes(copies))
                 self.detail["cache"] = "miss"
         else:
             reduced = self._reduce(relations, state.mode)
@@ -167,7 +173,11 @@ class SemijoinReduce(PhysicalOperator):
             shared = relations[0].y_values()
             for rel in relations[1:]:
                 shared = np.intersect1d(shared, rel.y_values(), assume_unique=True)
-            return [rel.restrict_y(shared, name=rel.name) for rel in relations]
+            return [
+                rel if shared.size == rel.y_values().size
+                else rel.restrict_y(shared, name=rel.name)
+                for rel in relations
+            ]
         left, right = relations
         return [
             left.semijoin_y(right, name=left.name),

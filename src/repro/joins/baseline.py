@@ -377,8 +377,3 @@ def combinatorial_two_path_filtered(
         if leapfrog_intersection([ys_a, ys_b]).size:
             result.add((a, b))
     return result
-
-
-def _product(lists: List[np.ndarray]) -> Iterable[Tuple[int, ...]]:
-    """Cartesian product of numpy arrays as python int tuples (legacy helper)."""
-    return map(tuple, cartesian_arrays(lists).tolist()) if lists else [()]

@@ -139,30 +139,31 @@ class MatMulCostModel:
         """Estimate seconds for an n x n x n product on ``cores`` cores."""
         return self.estimate(size, size, size, cores=cores)
 
-    def estimate(self, u: int, v: int, w: int, cores: int = 1) -> float:
+    def estimate(self, u, v, w, cores: int = 1):
         """Estimate seconds for a ``u x v @ v x w`` product on ``cores`` cores.
 
         The rectangular product is mapped to an "equivalent" cube of side
         ``(u*v*w)^(1/3)`` and looked up / extrapolated from the calibration
         table; without calibration the flops/throughput fallback is used.
         The multi-core estimate divides by an efficiency-discounted core
-        count, mirroring the near-linear scaling in Figure 3b.
+        count, mirroring the near-linear scaling in Figure 3b.  ``u``, ``v``
+        and ``w`` may be equal-length arrays (one estimate per product, 0
+        where any side is 0); scalars give a float.
         """
-        if u <= 0 or v <= 0 or w <= 0:
-            return 0.0
-        single_core = self._estimate_single_core(float(u), float(v), float(w))
-        return single_core / self.speedup(cores)
+        seconds = self._estimate_single_core(u, v, w) / self.speedup(cores)
+        return seconds if isinstance(seconds, np.ndarray) else float(seconds)
 
-    def estimate_construction(self, u: int, v: int, w: int, cores: int = 1,
-                              seconds_per_cell: float = 4.0e-9) -> float:
+    def estimate_construction(self, u, v, w, cores: int = 1,
+                              seconds_per_cell: float = 4.0e-9):
         """Estimate the matrix-construction cost ``C`` (Eq. 1 of the paper).
 
         Construction iterates over every cell of the two operand matrices,
         i.e. ``u*v + v*w`` cells; ``seconds_per_cell`` approximates the memory
-        allocation + write cost (the paper's ``T_m`` constant).
+        allocation + write cost (the paper's ``T_m`` constant).  Takes
+        scalars or equal-length arrays, as :meth:`estimate` does.
         """
-        cells = float(u) * float(v) + float(v) * float(w)
-        return cells * seconds_per_cell / self.speedup(cores)
+        seconds = (1.0 * u * v + 1.0 * v * w) * seconds_per_cell / self.speedup(cores)
+        return seconds if isinstance(seconds, np.ndarray) else float(seconds)
 
     def estimate_extraction(self, u: int, w: int, cores: int = 1,
                             tile_rows: "Optional[int]" = None,
@@ -254,25 +255,28 @@ class MatMulCostModel:
         return 1.0 + self.parallel_efficiency * (cores - 1)
 
     # -- internals ----------------------------------------------------------
-    def _estimate_single_core(self, u: float, v: float, w: float) -> float:
-        ops = 2.0 * u * v * w  # multiply + add per cell update
+    def _estimate_single_core(self, u, v, w):
+        """Single-core seconds of the products, for scalars or arrays."""
+        # Plain arithmetic serves both: a scalar query pays no array set-up.
+        volume = abs(1.0 * u * v * w) * ((u > 0) & (v > 0) & (w > 0))
+        ops = 2.0 * volume  # multiply + add per cell update
         if not self._table:
             return ops / self.flops_per_second
-        equivalent_side = (u * v * w) ** (1.0 / 3.0)
+        # Python's float pow per product: np.power's SIMD loop can differ in
+        # the last bit, and the estimates must not depend on the batch shape.
+        if isinstance(volume, np.ndarray):
+            equivalent_side = np.reshape(
+                [x ** (1.0 / 3.0) for x in volume.ravel().tolist()], volume.shape)
+        else:
+            equivalent_side = volume ** (1.0 / 3.0)
         sizes = np.asarray(sorted(self._table), dtype=np.float64)
         times = np.asarray([self._table[int(s)] for s in sizes], dtype=np.float64)
         # Interpolate seconds-per-flop between the two nearest measured cubes;
-        # clamp outside the measured range (matches the paper's "nearest
-        # estimate" extrapolation).
+        # np.interp clamps outside the measured range (matches the paper's
+        # "nearest estimate" extrapolation).
         measured_ops = 2.0 * sizes ** 3
         seconds_per_op = times / measured_ops
-        if equivalent_side <= sizes[0]:
-            rate = seconds_per_op[0]
-        elif equivalent_side >= sizes[-1]:
-            rate = seconds_per_op[-1]
-        else:
-            rate = float(np.interp(equivalent_side, sizes, seconds_per_op))
-        return ops * float(rate)
+        return ops * np.interp(equivalent_side, sizes, seconds_per_op)
 
 
 def calibration_series(

@@ -147,16 +147,6 @@ class ArtifactCache:
                     self.current_bytes -= evicted_bytes
                     self.evictions += 1
 
-    def get_or_build(self, key: Any, builder: Callable[[], Any],
-                     nbytes: Callable[[Any], int]) -> Tuple[Any, bool]:
-        """``(value, was_hit)`` — build and insert on miss."""
-        found, value = self.lookup(key)
-        if found:
-            return value, True
-        value = builder()
-        self.put(key, value, nbytes(value))
-        return value, False
-
     # ------------------------------------------------------------------ #
     # Invalidation
     # ------------------------------------------------------------------ #

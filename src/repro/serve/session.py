@@ -129,9 +129,14 @@ class SessionContext:
 
     def adopt_derived(self, relations: Sequence[Relation], kind: str,
                       parent_tokens: Sequence[Any], extra: Any = None) -> None:
-        """Bind derived relations under a token naming their derivation."""
+        """Bind derived relations under a token naming their derivation.
+
+        A relation that is already bound (an input passed through unchanged)
+        keeps its own token.
+        """
         for position, relation in enumerate(relations):
-            self.bind(relation, ("drv", kind, tuple(parent_tokens), extra, position))
+            if self.token_for(relation) is None:
+                self.bind(relation, ("drv", kind, tuple(parent_tokens), extra, position))
 
     def token_for(self, relation: Relation) -> Optional[Any]:
         entry = self._tokens.get(id(relation))

@@ -30,6 +30,7 @@ on the next read instead of one merge per write.
 
 from __future__ import annotations
 
+import threading
 from typing import List, Optional, Sequence, Tuple, Union
 
 import numpy as np
@@ -37,6 +38,9 @@ import numpy as np
 from repro.data.pairblock import PairBlock
 from repro.data.relation import Relation, _sorted_pairs
 from repro.shard.spec import ShardingSpec
+
+# One merge at a time; reentrant because a view's sources may be views.
+_MERGE_LOCK = threading.RLock()
 
 # One pending delta: ("+"/"-", (n, 2) int64 rows), replayed in order.
 Delta = Tuple[str, np.ndarray]
@@ -97,27 +101,32 @@ class LazyCombinedRelation(Relation):
         return sum(int(rows.shape[0]) for _, rows in self._deltas)
 
     def _materialize(self) -> None:
-        arrays: List[np.ndarray] = []
-        for source in self._sources:
-            data = source.data if isinstance(source, Relation) else source
-            if data.shape[0]:
-                arrays.append(np.asarray(data))
-        if len(arrays) > 1:
-            stacked = np.concatenate(arrays)
-            merged = np.column_stack(_sorted_pairs(stacked[:, 0], stacked[:, 1]))
-        elif arrays:
-            merged = arrays[0]  # a single source is already sorted/deduped
-        else:
-            merged = np.empty((0, 2), dtype=np.int64)
-        if self._deltas:
-            block = PairBlock.from_array(merged, deduped=True)
-            for op, rows in self._deltas:
-                delta = PairBlock.from_array(rows)
-                block = block.union(delta) if op == "+" else block.difference(delta)
-            merged = block.as_array()  # union/difference are canonical-sorted
-        # Relation.__init__ fills every slot (data + the lazy layout
-        # caches), so subsequent attribute access never lands here again.
-        Relation.__init__(self, merged, name=self.name, sorted_dedup=True)
+        with _MERGE_LOCK:
+            if self.materialized:  # a racing reader merged it first
+                return
+            arrays: List[np.ndarray] = []
+            for source in self._sources:
+                data = source.data if isinstance(source, Relation) else source
+                if data.shape[0]:
+                    arrays.append(np.asarray(data))
+            if len(arrays) > 1:
+                stacked = np.concatenate(arrays)
+                merged = np.column_stack(_sorted_pairs(stacked[:, 0], stacked[:, 1]))
+            elif arrays:
+                merged = arrays[0]  # a single source is already sorted/deduped
+            else:
+                merged = np.empty((0, 2), dtype=np.int64)
+            if self._deltas:
+                block = PairBlock.from_array(merged, deduped=True)
+                for op, rows in self._deltas:
+                    delta = PairBlock.from_array(rows)
+                    block = block.union(delta) if op == "+" else block.difference(delta)
+                merged = block.as_array()  # union/difference are canonical-sorted
+            # Relation.__init__ fills every slot, so attribute access never lands
+            # here again; dropping the inputs frees the previous shard version.
+            Relation.__init__(self, merged, name=self.name, sorted_dedup=True)
+            self._sources = []
+            self._deltas = []
 
     def __getattr__(self, attr: str):
         # Only reached for slots Relation.__init__ would have set; anything
@@ -261,14 +270,16 @@ class ShardedRelation:
                     f"keys owned by other shards: {foreign[:8].tolist()}"
                 )
         current = self._shards[shard]
-        if isinstance(current, LazyCombinedRelation) and not current.materialized:
-            # Extend the unfolded predecessor's pending list instead of
-            # nesting views (a chain of views would replay recursively).
-            sources: List[Source] = list(current._sources)
-            deltas = current._deltas + [(op, rows)]
-        else:
-            sources = [current] if len(current) else []
-            deltas = [(op, rows)]
+        # Check and copy under the merge lock: a racing fold empties the lists.
+        with _MERGE_LOCK:
+            if isinstance(current, LazyCombinedRelation) and not current.materialized:
+                # Extend the unfolded predecessor's pending list instead of
+                # nesting views (a chain of views would replay recursively).
+                sources: List[Source] = list(current._sources)
+                deltas = current._deltas + [(op, rows)]
+            else:
+                sources = [current] if len(current) else []
+                deltas = [(op, rows)]
         stored = LazyCombinedRelation(sources, name=f"{self.name}#{shard}",
                                       deltas=deltas)
         if stored.pending_rows > max(int(lazy_rows), 0):

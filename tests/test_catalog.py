@@ -38,18 +38,6 @@ class TestCatalog:
         assert "R" not in catalog
         catalog.remove("R")  # removing twice is a no-op
 
-    def test_statistics_cached(self, catalog):
-        first = catalog.statistics("R")
-        second = catalog.statistics("R")
-        assert first is second
-
-    def test_statistics_invalidated_on_replace(self, catalog, tiny_relation_s):
-        before = catalog.statistics("R")
-        catalog.add(tiny_relation_s, name="R")
-        after = catalog.statistics("R")
-        assert before is not after
-        assert after.num_tuples == len(tiny_relation_s)
-
     def test_stats_table(self, catalog, tiny_relation):
         table = catalog.stats_table()
         assert set(table) == {"R", "S"}

@@ -1,6 +1,9 @@
 """Tests for output-size estimation and the cost-based optimizer."""
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+from strategies import random_relation, relations, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
 from repro.core.estimation import (
@@ -9,14 +12,17 @@ from repro.core.estimation import (
     exact_full_join_size,
 )
 from repro.core.optimizer import (
-    STAR_SEARCH_CAP,
+    SEARCH_CAP,
+    THRESHOLD_SHRINK,
     CostBasedOptimizer,
     CostConstants,
     OptimizerDecision,
     _power_of_two_grid,
 )
 from repro.data import generators
+from repro.data.indexes import DegreeStatistics
 from repro.data.relation import Relation
+from repro.matmul.cost_model import MatMulCostModel
 from repro.joins.hash_join import hash_join_count, hash_join_project
 
 
@@ -126,6 +132,105 @@ class TestOptimizer:
             assert decision.delta1 <= max_deg + 1
 
 
+def reference_choose_two_path(optimizer, left, right):
+    """The step-at-a-time threshold search, kept as the oracle of the array pass.
+
+    Walks the geometric ``delta1`` grid one step at a time with scalar index
+    queries and one matrix-model call per step, stops at the first step
+    whose cost exceeds the previous one, and keeps the first minimum.
+    """
+    n = max(len(left), len(right), 1)
+    estimate = estimate_output_size(left, right)
+    out_join = estimate.full_join_size
+    c = optimizer.constants
+    wcoj_cost = (out_join + n) * c.random_insert
+    if out_join <= optimizer.config.full_join_factor * n:
+        return OptimizerDecision("wcoj", 0, 0, wcoj_cost, estimate.estimate, out_join)
+    sl = DegreeStatistics.from_relation(left)
+    sr = DegreeStatistics.from_relation(right)
+    out_estimate = max(estimate.estimate, 1.0)
+    model, cores = optimizer.matmul_model, optimizer.config.cores
+    best, prev_total, steps = None, float("inf"), 0
+    delta1 = float(max(sl.y_index.max_degree(), sr.y_index.max_degree(), 1))
+    while delta1 >= 1.0 and steps < 200:
+        steps += 1
+        delta2 = max(n * delta1 / out_estimate, 1.0)
+        light = (
+            c.random_insert * (sl.sum_y(delta1) + sr.sum_y(delta1)
+                               + (sl.sum_x(delta2) + sr.sum_x(delta2)) * max(delta1, 1.0))
+            + c.sequential_access * (sl.cdfx_y(delta1) + sr.cdfx_y(delta1))
+            + c.allocation * (sl.domain_x + sr.domain_x)
+        )
+        u = sl.heavy_x_count(delta2)
+        v = max(sl.heavy_y_count(delta1), sr.heavy_y_count(delta1))
+        w = sr.heavy_x_count(delta2)
+        heavy = 0.0 if min(u, v, w) == 0 else (
+            model.estimate(u, v, w, cores=cores)
+            + model.estimate_construction(u, v, w, cores=cores)
+        )
+        total = light + heavy
+        if best is None or total < best[0]:
+            best = (total, int(round(delta1)), int(round(delta2)), light, heavy)
+        if total > prev_total:
+            break
+        prev_total = total
+        delta1 *= THRESHOLD_SHRINK
+    total, d1, d2, light, heavy = best
+    if wcoj_cost <= total:
+        return OptimizerDecision("wcoj", 0, 0, wcoj_cost, out_estimate, out_join,
+                                 search_steps=steps)
+    return OptimizerDecision("mmjoin", max(d1, 1), max(d2, 1), total, out_estimate,
+                             out_join, light, heavy, steps)
+
+
+CALIBRATED = {128: 1.1e-3, 256: 7.3e-3, 512: 5.2e-2}
+
+
+def _optimizer(table, cores, factor):
+    model = MatMulCostModel()
+    if table:
+        model.set_table(table)
+    return CostBasedOptimizer(config=MMJoinConfig(cores=cores, full_join_factor=factor),
+                              matmul_model=model)
+
+
+class TestGridSearchMatchesStepwiseOracle:
+    """The array-priced grid decides exactly what the scalar loop decides."""
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(
+        left=relations(name="R"),
+        right=st.one_of(st.none(), relations(name="S")),
+        table=st.sampled_from([None, CALIBRATED]),
+        cores=st.sampled_from([1, 3]),
+        factor=st.sampled_from([1e-9, 1.0, 20.0]),
+    )
+    def test_property(self, left, right, table, cores, factor):
+        right = left if right is None else right  # None draws a self-join
+        optimizer = _optimizer(table, cores, factor)
+        assert (optimizer.choose_two_path(left, right)
+                == reference_choose_two_path(optimizer, left, right))
+
+    @pytest.mark.parametrize("factor", [1e-9, 20.0])
+    @pytest.mark.parametrize("table", [None, CALIBRATED])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_seeded_skewed_inputs(self, seed, table, factor):
+        left = skewed_random_relation(seed, n_pairs=3000, x_domain=300, y_domain=80)
+        right = skewed_random_relation(seed + 50, n_pairs=2000, x_domain=200,
+                                       y_domain=90, hot_fraction=0.1)
+        # Few heads on one side, many on the other: grid points where only
+        # one side has heavy heads (an empty heavy product) occur here.
+        narrow = skewed_random_relation(seed, n_pairs=1500, x_domain=30,
+                                        y_domain=200, hot_fraction=0.5)
+        wide = random_relation(seed + 7, n_pairs=1500, x_domain=600, y_domain=200)
+        optimizer = _optimizer(table, 1, factor)
+        for pair in ((left, left), (left, right), (right, left), (narrow, wide),
+                     (wide, narrow)):
+            decision = optimizer.choose_two_path(*pair)
+            assert decision == reference_choose_two_path(optimizer, *pair)
+
+
 class TestStarSearch:
     """The choose_star grid search deduplicates pairs and caps its steps."""
 
@@ -133,7 +238,7 @@ class TestStarSearch:
         relations = [community_relation, community_relation, community_relation]
         decision = CostBasedOptimizer().choose_star(relations)
         assert decision.strategy == "mmjoin"
-        assert 0 < decision.search_steps <= STAR_SEARCH_CAP
+        assert 0 < decision.search_steps <= SEARCH_CAP
 
     def test_no_duplicate_candidate_pairs_evaluated(self, community_relation):
         relations = [community_relation, community_relation]

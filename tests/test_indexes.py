@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.data.indexes import DegreeIndex, DegreeStatistics, build_statistics
+from repro.data.indexes import DegreeIndex, DegreeStatistics
 from repro.data.relation import Relation
 
 
@@ -99,8 +99,3 @@ class TestDegreeStatistics:
         u, v = stats.heavy_dimensions(1, 1)
         assert u == stats.heavy_x_count(1)
         assert v == stats.heavy_y_count(1)
-
-    def test_build_statistics_helper(self, tiny_relation, tiny_relation_s):
-        stats = build_statistics({"R": tiny_relation, "S": tiny_relation_s})
-        assert set(stats) == {"R", "S"}
-        assert stats["R"].num_tuples == len(tiny_relation)

@@ -16,6 +16,7 @@ import pytest
 from strategies import random_relation, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
+from repro.data.relation import Relation
 from repro.joins.baseline import combinatorial_two_path
 from repro.matmul.cost_model import MatMulCostModel
 from repro.plan.query import TwoPathQuery
@@ -247,6 +248,102 @@ class TestQuerySession:
         assert blended == pytest.approx(2.0)  # EMA with default blend=0.5
         model.observe(0, 64, 64, seconds=1.0)  # degenerate dims ignored
         assert set(model.table()) == {64}
+
+
+# --------------------------------------------------------------------------- #
+# Semijoin pass-through: inputs with no dangling tuple are not copied
+# --------------------------------------------------------------------------- #
+def _sparse_pair():
+    """A combinatorial-plan input: ``S`` has exactly ``R``'s y values, ``D``
+    adds y values ``R`` lacks and lacks some ``R`` has (both sides dangle)."""
+    left = random_relation(51, n_pairs=300, x_domain=400, y_domain=200, name="R")
+    xs, ys = left.xs[::-1].copy(), left.ys.copy()
+    same = Relation.from_arrays(xs, ys, name="S")
+    keep = ys % 7 != 0
+    dangling = Relation.from_arrays(
+        list(xs[keep]) + [1, 2, 3], list(ys[keep]) + [10_001, 10_002, 10_003], name="D")
+    return left, same, dangling
+
+
+def _semijoin_output(session, relations):
+    """The semijoin artifact cached for ``relations`` (by their current tokens)."""
+    found, reduced = session.artifacts.lookup(
+        session.context.key("semijoin", relations, False))
+    assert found
+    return reduced
+
+
+class TestSemijoinPassThrough:
+    def test_self_join_gets_its_input_back(self):
+        left, _, _ = _sparse_pair()
+        with QuerySession() as session:
+            session.register(left)
+            token = session.context.token_for(left)
+            result = session.two_path("R")
+            assert result.explanation.strategy == "wcoj"
+            reduced = _semijoin_output(session, [left, left])
+            assert reduced[0] is left and reduced[1] is left
+            assert session.context.token_for(left) == token
+            # Nothing was copied, so nothing is charged to the artifact cache.
+            assert session.artifacts.current_bytes == 0
+        assert result.pairs == combinatorial_two_path(left, left)
+
+    def test_non_dangling_pair_gets_its_inputs_back(self):
+        left, same, _ = _sparse_pair()
+        with QuerySession() as session:
+            session.register(left)
+            session.register(same)
+            tokens = session.context.tokens_for([left, same])
+            result = session.two_path("R", "S")
+            reduced = _semijoin_output(session, [left, same])
+            assert reduced[0] is left and reduced[1] is same
+            assert session.context.tokens_for([left, same]) == tokens
+            assert session.artifacts.current_bytes == 0
+        assert result.pairs == combinatorial_two_path(left, same)
+
+    def test_dangling_pair_gets_reduced_copies(self):
+        left, _, dangling = _sparse_pair()
+        with QuerySession() as session:
+            session.register(left)
+            session.register(dangling)
+            result = session.two_path("R", "D")
+            reduced = _semijoin_output(session, [left, dangling])
+            assert reduced[0] is not left and reduced[1] is not dangling
+            assert len(reduced[0]) < len(left) and len(reduced[1]) < len(dangling)
+            assert all(session.context.token_for(rel)[0] == "drv" for rel in reduced)
+            assert session.context.token_for(left) == ("rel", "R", 0)
+            assert session.artifacts.current_bytes == sum(r.data.nbytes for r in reduced)
+        assert result.pairs == combinatorial_two_path(left, dangling)
+
+    def test_warm_repeat_hits_the_semijoin_cache(self):
+        left, same, _ = _sparse_pair()
+        with QuerySession() as session:
+            session.register(left)
+            session.register(same)
+            cold = session.two_path("R", "S", use_memo=False)
+            warm = session.two_path("R", "S", use_memo=False)
+        caches = [{op.operator: op.detail.get("cache") for op in run.explanation.operators}
+                  for run in (cold, warm)]
+        assert caches[0]["semijoin_reduce"] == "miss"
+        assert caches[1]["semijoin_reduce"] == "hit"
+        assert "cache = hit" in warm.explain()
+        assert warm.pairs == cold.pairs
+
+    @pytest.mark.parametrize("write", ["append", "delete"])
+    def test_writes_invalidate_a_passed_through_input(self, write):
+        left, _, _ = _sparse_pair()
+        with QuerySession() as session:
+            session.register(left)
+            old_key = session.context.key("semijoin", [left, left], False)
+            session.two_path("R")
+            rows = [(7, 10_001), (8, 10_001)] if write == "append" else left.pairs()[:40]
+            getattr(session, write)("R", rows)
+            assert old_key not in session.artifacts
+            current = session.relation("R")
+            result = session.two_path("R")
+            assert not result.from_memo
+            assert _semijoin_output(session, [current, current])[0] is current
+        assert result.pairs == combinatorial_two_path(current, current)
 
 
 # --------------------------------------------------------------------------- #

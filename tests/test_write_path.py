@@ -13,8 +13,12 @@ pickle/deepcopy/process-pool round-trips of the lazy combined view.
 from __future__ import annotations
 
 import copy
+import gc
 import multiprocessing
 import pickle
+import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -25,7 +29,8 @@ from repro.data.relation import Relation
 from repro.joins.baseline import combinatorial_two_path
 from repro.joins.hash_join import hash_join_project_counts
 from repro.serve import QuerySession
-from repro.shard.sharded import LazyCombinedRelation
+from repro.shard.sharded import LazyCombinedRelation, ShardedRelation
+from repro.shard.spec import ShardingSpec
 
 CONFIG = MMJoinConfig(delta1=2, delta2=2, matrix_backend="dense")
 
@@ -154,6 +159,77 @@ class TestLazyAbsorption:
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta)), name="R")
             assert result.pairs == combinatorial_two_path(merged, right)
+
+    @pytest.mark.parametrize("lazy_merge_rows", [0, 100])
+    def test_folded_view_releases_previous_version(self, write_inputs, lazy_merge_rows):
+        # A folded view must drop its merged inputs: holding them chained
+        # every shard version (with its data and indexes) to the next.
+        left, right = write_inputs
+        with _session(left, right, lazy_merge_rows=lazy_merge_rows) as session:
+            session.two_path("R", "S")
+            previous = weakref.ref(session.sharded("R").shard(0))
+            session.append("R", _rows_for_shard(session, "R", 0, 3))
+            result = session.two_path("R", "S")
+            assert session.sharded("R").shard(0).materialized
+            gc.collect()
+            assert previous() is None
+            assert result.pairs == combinatorial_two_path(session.relation("R"), right)
+
+    def test_concurrent_readers_all_see_the_merged_rows(self):
+        # A reader that loses the race to fold a view must not fold it again
+        # from the inputs the winner released.
+        base = Relation(np.column_stack([np.arange(3000), np.arange(3000) % 37]), name="R")
+        readers = 8
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for trial in range(30):
+                view = LazyCombinedRelation(
+                    [base], name="R", deltas=[("+", np.array([[10_000 + trial, 1]]))])
+                barrier = threading.Barrier(readers)
+                seen = []
+
+                def read():
+                    barrier.wait(timeout=10)
+                    seen.append(len(view))
+
+                threads = [threading.Thread(target=read) for _ in range(readers)]
+                for thread in threads:
+                    thread.start()
+                for thread in threads:
+                    thread.join(timeout=10)
+                assert not any(thread.is_alive() for thread in threads)
+                assert seen == [len(base) + 1] * readers
+        finally:
+            sys.setswitchinterval(previous)
+
+    def test_write_racing_a_reader_keeps_the_shard_rows(self, monkeypatch):
+        # A reader that folds the shard view between the writer's "still
+        # unfolded?" check and its copy of the pending lists would hand the
+        # writer two emptied lists.  Open that window on purpose: the
+        # writer's check starts a reader and gives it time to fold.
+        base = Relation(np.column_stack([np.arange(300), np.arange(300) % 37]), name="R")
+        sharded = ShardedRelation.partition(base, ShardingSpec(1))
+        view = sharded.apply_delta(0, np.array([[10_000, 1]]), "+", lazy_rows=10)
+        writer = threading.current_thread()
+        readers = []
+        unpatched = LazyCombinedRelation.materialized
+
+        def racing_materialized(self):
+            folded = unpatched.fget(self)
+            if self is view and threading.current_thread() is writer and not readers:
+                readers.append(threading.Thread(target=len, args=(view,)))
+                readers[0].start()
+                readers[0].join(timeout=0.5)  # waits out the merge lock if held
+            return folded
+
+        monkeypatch.setattr(LazyCombinedRelation, "materialized",
+                            property(racing_materialized))
+        stored = sharded.apply_delta(0, np.array([[20_000, 2]]), "+", lazy_rows=10)
+        readers[0].join(timeout=10)
+        assert not readers[0].is_alive()
+        assert view.materialized
+        assert _pairs(stored) == _pairs(base) | {(10_000, 1), (20_000, 2)}
 
     def test_threshold_trip_folds_eagerly(self, write_inputs):
         left, right = write_inputs
