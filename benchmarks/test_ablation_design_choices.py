@@ -36,11 +36,11 @@ def test_ablation_matmul_backend_table(benchmark, record_rows):
             config = MMJoinConfig(delta1=4, delta2=4, matrix_backend=backend)
             measurement = time_call(two_path_join, relation, relation, config, repeats=1)
             if reference is None:
-                reference = measurement.value.pairs
+                reference = measurement.value.result_block
             else:
-                assert measurement.value.pairs == reference
+                assert measurement.value.result_block == reference
             rows.append({"backend": backend, "seconds": measurement.seconds,
-                         "matrix_dims": str(measurement.value.matrix_dims)})
+                         "matrix_dims": str(measurement.value.plan.state.matrix_dims)})
         return rows
 
     rows = benchmark.pedantic(build_rows, rounds=1, iterations=1)
@@ -59,7 +59,7 @@ def test_ablation_optimizer(benchmark, mode):
         "wcoj": MMJoinConfig(use_optimizer=False),
     }
     result = benchmark(two_path_join, relation, relation, configs[mode])
-    assert len(result.pairs) > 0
+    assert result.output_size > 0
 
 
 def test_ablation_optimizer_table(benchmark, record_rows):
@@ -76,15 +76,15 @@ def test_ablation_optimizer_table(benchmark, record_rows):
         for label, config in variants.items():
             measurement = time_call(two_path_join, relation, relation, config, repeats=1)
             if reference is None:
-                reference = measurement.value.pairs
+                reference = measurement.value.result_block
             else:
-                assert measurement.value.pairs == reference
+                assert measurement.value.result_block == reference
             rows.append({
                 "variant": label,
                 "seconds": measurement.seconds,
                 "strategy": measurement.value.strategy,
-                "delta1": measurement.value.delta1,
-                "delta2": measurement.value.delta2,
+                "delta1": measurement.value.explanation.delta1,
+                "delta2": measurement.value.explanation.delta2,
             })
         return rows
 

@@ -20,48 +20,52 @@ import pytest
 
 from repro.bench.datasets import bench_dataset
 from repro.bench.runner import time_call
+from repro.core.config import DEFAULT_CONFIG
 from repro.core.optimizer import CostBasedOptimizer
 from repro.core.star import star_join
-from repro.joins.baseline import combinatorial_star, combinatorial_two_path
-from repro.parallel.executor import parallel_two_path
+from repro.core.two_path import two_path_join
+from repro.joins.baseline import combinatorial_star_block, combinatorial_two_path_block
 from repro.parallel.workmodel import model_for
 
 CORE_COUNTS = [2, 4, 6, 8, 10]
 DATASETS = ["jokes", "words"]
 
 
-def _thresholds(relation):
+def _pinned_config(relation):
+    """The optimizer's thresholds for ``relation``, pinned (2, 2 if it picks wcoj)."""
     decision = CostBasedOptimizer().choose_two_path(relation, relation)
     if decision.strategy == "mmjoin":
-        return decision.delta1, decision.delta2
-    return 2, 2
+        return DEFAULT_CONFIG.with_thresholds(decision.delta1, decision.delta2)
+    return DEFAULT_CONFIG.with_thresholds(2, 2)
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
 @pytest.mark.parametrize("cores", [2, 6, 10])
 def test_fig4de_parallel_two_path(benchmark, dataset, cores):
     relation = bench_dataset(dataset)
-    delta1, delta2 = _thresholds(relation)
-    result = benchmark(parallel_two_path, relation, relation, delta1, delta2, cores)
-    assert len(result.pairs) > 0
+    config = _pinned_config(relation).with_cores(cores)
+    result = benchmark(two_path_join, relation, relation, config)
+    assert result.output_size > 0
 
 
 @pytest.mark.parametrize("dataset", DATASETS)
 def test_fig4de_two_path_core_series(benchmark, record_rows, dataset):
     def build_rows():
         relation = bench_dataset(dataset)
-        delta1, delta2 = _thresholds(relation)
+        pinned = _pinned_config(relation)
         # The modelled series scale these measured single-core anchors, so a
         # noisy single-shot anchor would shift every modelled row with it:
         # repeats=3 records the median run instead.
         mmjoin_single = time_call(
-            parallel_two_path, relation, relation, delta1, delta2, 1, repeats=3
+            two_path_join, relation, relation, pinned.with_cores(1), repeats=3
         ).seconds
-        baseline_single = time_call(combinatorial_two_path, relation, relation, repeats=3).seconds
+        baseline_single = time_call(
+            combinatorial_two_path_block, relation, relation, repeats=3
+        ).seconds
         rows = []
         for cores in CORE_COUNTS:
             measured = time_call(
-                parallel_two_path, relation, relation, delta1, delta2, cores, repeats=1
+                two_path_join, relation, relation, pinned.with_cores(cores), repeats=1
             ).seconds
             rows.append({
                 "cores": cores,
@@ -89,7 +93,7 @@ def test_fig4fg_star_core_series(benchmark, record_rows, dataset):
         # docstring), so anchor noise is the only way the recorded figure
         # can shift between runs of the same code.
         mmjoin_single = time_call(star_join, relations, repeats=3).seconds
-        baseline_single = time_call(combinatorial_star, relations, repeats=3).seconds
+        baseline_single = time_call(combinatorial_star_block, relations, repeats=3).seconds
         rows = []
         for cores in CORE_COUNTS:
             rows.append({

@@ -25,7 +25,7 @@ DATASETS = dataset_names()
 def test_fig4a_two_path_engines(benchmark, dataset, engine_name):
     relation = bench_dataset(dataset)
     engine = make_engine(engine_name)
-    result = benchmark(engine.two_path, relation, relation)
+    result = benchmark(engine.two_path_block, relation, relation)
     assert len(result) > 0
 
 
@@ -41,7 +41,7 @@ def test_fig4a_full_comparison_table(benchmark, record_rows):
                 # repeats=3 -> trimmed mean keeps the median run: the sparse
                 # datasets finish in ~5ms where a single-shot timing has
                 # recorded noise-level speedup flips (roadnet vs postgres).
-                measurement = time_call(engine.two_path, relation, relation, repeats=3)
+                measurement = time_call(engine.two_path_block, relation, relation, repeats=3)
                 row[engine_name] = measurement.seconds
                 reference_sizes.setdefault(dataset, len(measurement.value))
                 assert len(measurement.value) == reference_sizes[dataset]

@@ -18,7 +18,7 @@ import numpy as np
 import micro_extract_tiling
 
 from repro.core.config import MMJoinConfig
-from repro.core.two_path import two_path_join_detailed
+from repro.core.two_path import two_path_join
 from repro.data.relation import Relation
 from repro.joins.hash_join import hash_join_project
 from repro.matmul.tiling import choose_tile_rows
@@ -78,7 +78,7 @@ def test_extraction_memory_bounded_via_explain_fields():
     tile_rows = 64
     config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                           extract_tile_rows=tile_rows)
-    result = two_path_join_detailed(left, right, config=config)
+    result = two_path_join(left, right, config=config)
     assert result.pairs == hash_join_project(left, right)
     heavy = next(op for op in result.explanation.operators
                  if op.operator == "matmul_heavy")
@@ -103,7 +103,7 @@ def test_auto_tile_rows_matches_full_scan_output():
     for tile_rows in (None, 0, 1, 97, 10**6):
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                               extract_tile_rows=tile_rows)
-        assert two_path_join_detailed(left, right, config=config).pairs == expected
+        assert two_path_join(left, right, config=config).pairs == expected
 
 
 def test_choose_tile_rows_bounds():

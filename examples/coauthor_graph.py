@@ -41,7 +41,8 @@ def main() -> None:
     start = time.perf_counter()
     coauthors = two_path_join(authors_papers, authors_papers)
     mmjoin_seconds = time.perf_counter() - start
-    num_edges = sum(1 for a, b in coauthors.pairs if a < b)
+    first, second = coauthors.result_block.columns
+    num_edges = int((first < second).sum())
     print(f"\nco-author graph: {num_edges:,} edges "
           f"(MMJoin, {coauthors.strategy}, {mmjoin_seconds:.3f}s)")
 

@@ -34,10 +34,12 @@ def main() -> None:
     start = time.perf_counter()
     result = two_path_join(relation, relation)
     mmjoin_seconds = time.perf_counter() - start
+    plan = result.explanation
+    heavy = next(op for op in plan.operators if op.operator == "matmul_heavy")
     print(f"\nMMJoin strategy: {result.strategy}"
-          f" (delta1={result.delta1}, delta2={result.delta2},"
-          f" matrix dims={result.matrix_dims})")
-    print(f"projected output: {len(result):,} pairs in {mmjoin_seconds:.3f}s")
+          f" (delta1={plan.delta1}, delta2={plan.delta2},"
+          f" matrix dims={heavy.detail.get('matrix_dims', (0, 0, 0))})")
+    print(f"projected output: {result.output_size:,} pairs in {mmjoin_seconds:.3f}s")
 
     # --- Conventional plan: full join, then deduplicate ---
     start = time.perf_counter()
@@ -51,7 +53,7 @@ def main() -> None:
     sample = relation.sample_tuples(1_500, seed=1)
     star = star_join([sample, sample, sample], config=MMJoinConfig(delta1=4, delta2=4))
     print(f"\nstar query Q*_3 over a {len(sample)}-tuple sample: "
-          f"{star.output_size():,} output tuples ({star.strategy})")
+          f"{star.output_size:,} output tuples ({star.strategy})")
 
 
 if __name__ == "__main__":

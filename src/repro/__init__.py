@@ -30,7 +30,7 @@ Quickstart
 
 >>> from repro import Relation, two_path_join
 >>> R = Relation.from_pairs([(1, 10), (2, 10), (3, 11)], name="R")
->>> sorted(two_path_join(R, R).pairs())
+>>> sorted(two_path_join(R, R).pairs)
 [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
 """
 
@@ -38,7 +38,7 @@ from repro.data.relation import Relation
 from repro.data.pairblock import CountedPairBlock, PairBlock
 from repro.data.catalog import Catalog
 from repro.data.setfamily import SetFamily
-from repro.core.two_path import MMJoinResult, two_path_join, two_path_join_detailed
+from repro.core.two_path import two_path_join
 from repro.core.star import star_join
 from repro.core.optimizer import CostBasedOptimizer, OptimizerDecision
 from repro.core.config import MMJoinConfig
@@ -64,9 +64,7 @@ __all__ = [
     "CountedPairBlock",
     "Catalog",
     "SetFamily",
-    "MMJoinResult",
     "two_path_join",
-    "two_path_join_detailed",
     "star_join",
     "CostBasedOptimizer",
     "OptimizerDecision",

@@ -41,8 +41,8 @@ from typing import Optional, Sequence
 
 from repro.bench.report import format_table
 from repro.core.config import EXTRACT_MODES, MATRIX_BACKENDS, MMJoinConfig
-from repro.core.star import star_join_detailed
-from repro.core.two_path import two_path_join, two_path_join_detailed
+from repro.core.star import star_join
+from repro.core.two_path import two_path_join
 from repro.data.loaders import load_edge_list
 from repro.data.setfamily import SetFamily
 from repro.engines.registry import available_engines, make_engine
@@ -199,38 +199,9 @@ def _config_from_args(args: argparse.Namespace) -> MMJoinConfig:
 
 def _run_join(args: argparse.Namespace) -> int:
     relation = load_edge_list(args.path)
-    if args.engine == "mmjoin" and args.shards > 1:
-        from repro.serve import QuerySession
-
-        with QuerySession(config=_config_from_args(args), shards=args.shards) as session:
-            session.register(relation, name="R", sharded=True)
-            served = session.two_path("R", "R", use_memo=False)
-            stats = served.explanation.session_stats if served.explanation else {}
-            rows = [{
-                "tuples": len(relation),
-                "output_pairs": served.output_size,
-                "strategy": served.strategy,
-                "backend": served.backend,
-                "shards": session.sharding_spec.num_shards,
-                "shards_executed": stats.get("shards_executed", 0),
-                "shards_skipped": stats.get("shards_skipped_empty", 0),
-                "seconds": round(served.seconds, 6),
-            }]
-        print(format_table(rows, title=f"sharded 2-path join-project over {args.path}"))
-        return 0
-    if args.engine == "mmjoin":
-        result = two_path_join(relation, relation, config=_config_from_args(args))
-        rows = [{
-            "tuples": len(relation),
-            "output_pairs": len(result),
-            "strategy": result.strategy,
-            "delta1": result.delta1,
-            "delta2": result.delta2,
-            "matrix_dims": str(result.matrix_dims),
-            "seconds": result.timings.get("total", 0.0),
-        }]
-    else:
-        engine = make_engine(args.engine, config=_config_from_args(args))
+    config = _config_from_args(args)
+    if args.engine != "mmjoin":
+        engine = make_engine(args.engine, config=config)
         engine_result = engine.run_two_path(relation, relation)
         rows = [{
             "tuples": len(relation),
@@ -238,7 +209,39 @@ def _run_join(args: argparse.Namespace) -> int:
             "engine": args.engine,
             "seconds": engine_result.seconds,
         }]
-    print(format_table(rows, title=f"2-path join-project over {args.path}"))
+        print(format_table(rows, title=f"2-path join-project over {args.path}"))
+        return 0
+    from repro.serve import QuerySession
+
+    # One session path; shards=1 is the unsharded case.
+    sharded = args.shards > 1
+    with QuerySession(config=config, shards=args.shards) as session:
+        session.register(relation, name="R", sharded=sharded)
+        served = session.two_path("R", "R", use_memo=False)
+        explanation = served.explanation
+        row = {
+            "tuples": len(relation),
+            "output_pairs": served.output_size,
+            "strategy": served.strategy,
+        }
+        if sharded:
+            stats = explanation.session_stats
+            row.update({
+                "backend": served.backend,
+                "shards": session.sharding_spec.num_shards,
+                "shards_executed": stats.get("shards_executed", 0),
+                "shards_skipped": stats.get("shards_skipped_empty", 0),
+            })
+        else:
+            heavy = next(op for op in explanation.operators if op.operator == "matmul_heavy")
+            row.update({
+                "delta1": explanation.delta1,
+                "delta2": explanation.delta2,
+                "matrix_dims": str(heavy.detail.get("matrix_dims", (0, 0, 0))),
+            })
+        row["seconds"] = round(served.seconds, 6)
+    title = f"{'sharded ' if sharded else ''}2-path join-project over {args.path}"
+    print(format_table([row], title=title))
     return 0
 
 
@@ -246,9 +249,9 @@ def _run_explain(args: argparse.Namespace) -> int:
     relation = load_edge_list(args.path)
     config = _config_from_args(args)
     if args.query == "star":
-        result = star_join_detailed([relation] * max(int(args.k), 1), config=config)
+        result = star_join([relation] * max(int(args.k), 1), config=config)
     else:
-        result = two_path_join_detailed(relation, relation, config=config)
+        result = two_path_join(relation, relation, config=config)
     print(f"plan for {args.query} join-project over {args.path}")
     print(result.explain())
     return 0

@@ -3,8 +3,8 @@
 from repro.core.config import MMJoinConfig
 from repro.core.partitioning import TwoPathPartition, StarPartition, partition_two_path, partition_star
 from repro.core.estimation import estimate_output_size, exact_full_join_size
-from repro.core.two_path import MMJoinResult, two_path_join, two_path_join_detailed, two_path_join_counts
-from repro.core.star import StarJoinResult, star_join, star_join_detailed
+from repro.core.two_path import two_path_join, two_path_join_counts
+from repro.core.star import star_join
 from repro.core.optimizer import CostBasedOptimizer, OptimizerDecision
 from repro.core.bsi import BooleanSetIntersection, BSIBatchScheduler, BSIWorkloadResult
 from repro.core.compressed import CompressedJoinView, build_compressed_view
@@ -18,13 +18,9 @@ __all__ = [
     "partition_star",
     "estimate_output_size",
     "exact_full_join_size",
-    "MMJoinResult",
     "two_path_join",
-    "two_path_join_detailed",
     "two_path_join_counts",
-    "StarJoinResult",
     "star_join",
-    "star_join_detailed",
     "CostBasedOptimizer",
     "OptimizerDecision",
     "BooleanSetIntersection",

@@ -28,7 +28,7 @@ from typing import Dict, Iterable, List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
-from repro.core.two_path import two_path_join_detailed
+from repro.core.two_path import two_path_join
 from repro.data.relation import Relation
 from repro.joins.baseline import combinatorial_two_path_filtered
 from repro.joins.leapfrog import intersect_sorted
@@ -120,7 +120,7 @@ class BooleanSetIntersection:
         right_filtered = self.right.restrict_x(wanted_b, name=f"{self.right.name}|T")
 
         if use_mmjoin:
-            join = two_path_join_detailed(left_filtered, right_filtered, config=self.config)
+            join = two_path_join(left_filtered, right_filtered, config=self.config)
             positives = join.pairs
             method = "mmjoin"
         else:

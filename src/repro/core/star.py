@@ -17,92 +17,27 @@ generalises Algorithm 1 to k relations:
    over grouped head combinations, on whichever matmul backend the registry
    selects.
 
-This module only describes the logical query and adapts the execution state
-into the legacy :class:`StarJoinResult` shape.
+This module only describes the logical query; like the two-path entry points
+it returns the throwaway session's ``SessionResult`` (head tuples in
+``result.pairs``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Sequence
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
-from repro.core.optimizer import OptimizerDecision
+from repro.core.two_path import evaluate_once
 from repro.data.relation import Relation
-from repro.plan.explain import PlanExplanation
 from repro.plan.query import StarQuery
 
-HeadTuple = Tuple[int, ...]
-
-
-@dataclass
-class StarJoinResult:
-    """Result of a star MMJoin evaluation with execution statistics."""
-
-    tuples: Set[HeadTuple]
-    strategy: str = "mmjoin"
-    delta1: int = 0
-    delta2: int = 0
-    light_tuples: int = 0
-    heavy_tuples: int = 0
-    matrix_dims: Tuple[int, int, int] = (0, 0, 0)
-    backend: str = "dense"
-    timings: Dict[str, float] = field(default_factory=dict)
-    optimizer_decision: Optional[OptimizerDecision] = None
-    explanation: Optional[PlanExplanation] = None
-
-    def __len__(self) -> int:
-        return len(self.tuples)
-
-    def __contains__(self, head: HeadTuple) -> bool:
-        return tuple(int(v) for v in head) in self.tuples
-
-    def __iter__(self):
-        return iter(self.tuples)
-
-    def output_size(self) -> int:
-        """Number of distinct output tuples."""
-        return len(self.tuples)
-
-    def explain(self) -> str:
-        """Human-readable per-operator cost/timing breakdown."""
-        if self.explanation is None:
-            return "no plan explanation available"
-        return self.explanation.format()
+if TYPE_CHECKING:
+    from repro.serve.session import SessionResult
 
 
 def star_join(
     relations: Sequence[Relation],
     config: MMJoinConfig = DEFAULT_CONFIG,
-) -> StarJoinResult:
+) -> SessionResult:
     """Compute the projected star join over ``relations``."""
-    return star_join_detailed(relations, config=config)
-
-
-def star_join_detailed(
-    relations: Sequence[Relation],
-    config: MMJoinConfig = DEFAULT_CONFIG,
-) -> StarJoinResult:
-    """Full-control star MMJoin entry point (see module docstring)."""
-    if not relations:
-        return StarJoinResult(tuples=set(), strategy="wcoj")
-    # One-shot evaluation is a throwaway serving session (see two_path.py).
-    from repro.matmul.registry import default_registry
-    from repro.serve.session import QuerySession
-
-    with QuerySession(config=config, registry=default_registry(), feedback=False) as session:
-        plan = session.evaluate(StarQuery(relations), use_memo=False).plan
-    state = plan.state
-    return StarJoinResult(
-        tuples=state.pairs,
-        strategy=state.strategy,
-        delta1=state.delta1,
-        delta2=state.delta2,
-        light_tuples=len(state.light_block),
-        heavy_tuples=len(state.heavy_block),
-        matrix_dims=state.matrix_dims,
-        backend=state.backend_name,
-        timings=dict(state.timings),
-        optimizer_decision=state.decision,
-        explanation=plan.explain(),
-    )
+    return evaluate_once(StarQuery(relations), config)

@@ -5,9 +5,10 @@ orchestration — semijoin reduction, the optimizer's strategy choice, the
 light/heavy partition, the combinatorial light join, the matrix-product
 heavy join and the final dedup-merge — lives in the shared planner pipeline
 (:mod:`repro.plan.planner` composing the :mod:`repro.exec.operators`).
-This module only describes the logical query, runs the plan, and adapts the
-execution state into the legacy :class:`MMJoinResult` shape (including its
-``explain()`` facility).
+Each entry point evaluates its query once in a throwaway serving session and
+returns that session's :class:`~repro.serve.session.SessionResult`: the
+result block, ``pairs`` / ``counts`` as lazy views, and the plan's
+``explanation`` (strategy, thresholds, backend, per-operator detail).
 
 ``two_path_join_counts`` is the witness-counting variant used by the set
 similarity application: the join variable alone is partitioned so that every
@@ -17,156 +18,48 @@ heavy witnesses by the matrix product (whose entries *are* the counts).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
-from repro.core.optimizer import OptimizerDecision
 from repro.data.relation import Relation
-from repro.plan.explain import PlanExplanation
-from repro.plan.query import TwoPathQuery
+from repro.plan.query import JoinProjectQuery, TwoPathQuery
 
-Pair = Tuple[int, int]
+if TYPE_CHECKING:
+    from repro.serve.session import SessionResult
 
 
-@dataclass
-class MMJoinResult:
-    """Result of an MMJoin evaluation, with execution statistics.
+def evaluate_once(query: JoinProjectQuery, config: MMJoinConfig) -> SessionResult:
+    """Evaluate ``query`` in a throwaway session; returns its ``SessionResult``.
 
-    Attributes
-    ----------
-    pairs:
-        The projected output as a set of ``(x, z)`` pairs.
-    counts:
-        Witness counts ``{(x, z): #common y}`` when counting was requested,
-        otherwise ``None``.
-    strategy:
-        ``"wcoj"`` when the optimizer evaluated the plain combinatorial join,
-        ``"mmjoin"`` when the light/heavy decomposition ran.
-    delta1 / delta2:
-        The degree thresholds actually used (0 for the wcoj strategy).
-    light_pairs / heavy_pairs:
-        Number of output pairs discovered by the light sub-joins and by the
-        matrix product respectively (they may overlap).
-    matrix_dims:
-        ``(U, V, W)`` dimensions of the heavy matrix product.
-    backend:
-        Name of the matmul backend the registry selected for the heavy part.
-    timings:
-        Wall-clock seconds per phase (keys: ``partition``, ``light``,
-        ``matrix_build``, ``matrix_multiply``, ``total``, plus one key per
-        physical operator).
-    explanation:
-        The per-operator :class:`~repro.plan.explain.PlanExplanation`
-        produced by the planner pipeline; see :meth:`explain`.
+    Same pipeline as serving, with no memoization, the process-wide backend
+    registry (so runtime-registered custom backends resolve) and no feedback
+    mutation of shared state.
     """
+    from repro.matmul.registry import default_registry
+    from repro.serve.session import QuerySession
 
-    pairs: Set[Pair]
-    counts: Optional[Dict[Pair, int]] = None
-    strategy: str = "mmjoin"
-    delta1: int = 0
-    delta2: int = 0
-    light_pairs: int = 0
-    heavy_pairs: int = 0
-    matrix_dims: Tuple[int, int, int] = (0, 0, 0)
-    backend: str = "dense"
-    timings: Dict[str, float] = field(default_factory=dict)
-    optimizer_decision: Optional[OptimizerDecision] = None
-    explanation: Optional[PlanExplanation] = None
-
-    def __len__(self) -> int:
-        return len(self.pairs)
-
-    def __contains__(self, pair: Pair) -> bool:
-        return (int(pair[0]), int(pair[1])) in self.pairs
-
-    def __iter__(self):
-        return iter(self.pairs)
-
-    def output_size(self) -> int:
-        """Number of distinct output pairs."""
-        return len(self.pairs)
-
-    def explain(self) -> str:
-        """Human-readable per-operator cost/timing breakdown."""
-        if self.explanation is None:
-            return "no plan explanation available"
-        return self.explanation.format()
+    with QuerySession(config=config, registry=default_registry(), feedback=False) as session:
+        return session.evaluate(query, use_memo=False)
 
 
-# --------------------------------------------------------------------------- #
-# Public entry points
-# --------------------------------------------------------------------------- #
 def two_path_join(
     left: Relation,
     right: Relation,
     config: MMJoinConfig = DEFAULT_CONFIG,
-) -> MMJoinResult:
-    """Compute the projected 2-path join; returns an :class:`MMJoinResult`."""
-    return two_path_join_detailed(left, right, config=config, with_counts=False)
+) -> SessionResult:
+    """Compute the projected 2-path join; returns a ``SessionResult``.
+
+    Explicit ``config.delta1`` / ``delta2`` override the optimizer;
+    ``use_optimizer=False`` with no thresholds forces the plain
+    combinatorial evaluation.
+    """
+    return evaluate_once(TwoPathQuery(left=left, right=right), config)
 
 
 def two_path_join_counts(
     left: Relation,
     right: Relation,
     config: MMJoinConfig = DEFAULT_CONFIG,
-) -> MMJoinResult:
-    """Compute the projected 2-path join together with exact witness counts."""
-    return two_path_join_detailed(left, right, config=config, with_counts=True)
-
-
-def two_path_join_detailed(
-    left: Relation,
-    right: Relation,
-    config: MMJoinConfig = DEFAULT_CONFIG,
-    with_counts: bool = False,
-) -> MMJoinResult:
-    """Full-control MMJoin entry point.
-
-    Parameters
-    ----------
-    config:
-        Evaluation knobs; explicit ``delta1`` / ``delta2`` override the
-        optimizer, ``use_optimizer=False`` with no thresholds forces the
-        plain combinatorial evaluation.
-    with_counts:
-        Also compute exact witness counts (needed by SSJ).
-    """
-    # One-shot evaluation is a throwaway serving session: same pipeline, no
-    # memoization, process-wide backend registry (so runtime-registered
-    # custom backends resolve), and no feedback mutation of shared state.
-    from repro.matmul.registry import default_registry
-    from repro.serve.session import QuerySession
-
-    with QuerySession(config=config, registry=default_registry(), feedback=False) as session:
-        result = session.evaluate(
-            TwoPathQuery(left=left, right=right, counting=with_counts), use_memo=False
-        )
-    return result_from_plan(result.plan, with_counts=with_counts)
-
-
-def result_from_plan(plan, with_counts: bool = False) -> MMJoinResult:
-    """Adapt an executed two-path plan into an :class:`MMJoinResult`."""
-    state = plan.state
-    if with_counts:
-        counts = state.counts if state.counts is not None else {}
-        light_found = len(state.light_counted)
-        heavy_found = len(state.heavy_counted)
-    else:
-        counts = None
-        light_found = len(state.light_block)
-        heavy_found = len(state.heavy_block)
-    return MMJoinResult(
-        pairs=state.pairs,
-        counts=counts,
-        strategy=state.strategy,
-        delta1=state.delta1,
-        delta2=state.delta2,
-        light_pairs=light_found,
-        heavy_pairs=heavy_found,
-        matrix_dims=state.matrix_dims,
-        backend=state.backend_name,
-        timings=dict(state.timings),
-        optimizer_decision=state.decision,
-        explanation=plan.explain(),
-    )
+) -> SessionResult:
+    """The projected 2-path join with exact witness counts (``result.counts``)."""
+    return evaluate_once(TwoPathQuery(left=left, right=right, counting=True), config)

@@ -6,12 +6,10 @@ writes its own.  Results move between operators exclusively as blocks
 (:class:`~repro.data.pairblock.PairBlock`, and
 :class:`~repro.data.pairblock.CountedPairBlock` under MODE_COUNTS; packed
 keys under :attr:`ExecutionState.layout` between the phases, columns once
-``DedupMerge`` has run) — Python
-sets and dicts exist only behind the lazy boundary views
-(:attr:`ExecutionState.pairs`, :attr:`ExecutionState.counts`) that the
-engines, the CLI and the legacy result objects
-(:class:`~repro.core.two_path.MMJoinResult`,
-:class:`~repro.core.star.StarJoinResult`) consume.
+``DedupMerge`` has run).  The state holds no Python set or dict: the
+finished ``result_block`` / ``result_counted`` are handed to the session's
+:class:`~repro.serve.session.SessionResult`, whose lazy ``pairs`` /
+``counts`` views build tuples on first read.
 """
 
 from __future__ import annotations
@@ -23,7 +21,7 @@ import numpy as np
 
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.core.optimizer import OptimizerDecision
-from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock, lazy_view
+from repro.data.pairblock import CountedPairBlock, KeyLayout, PairBlock
 from repro.data.relation import Relation
 
 # Execution modes: which variant of the pipeline the operators run.
@@ -92,11 +90,6 @@ class ExecutionState:
     # Control flow and bookkeeping.
     done: bool = False
     timings: Dict[str, float] = field(default_factory=dict)
-
-    # Boundary views: the merged output as a Python set / ``{(x, z): n}``
-    # dict, materialised lazily and only for consumers outside the pipeline.
-    pairs = lazy_view("result_block", "to_set", default=set)
-    counts = lazy_view("result_counted", "to_dict")
 
     def finish_empty(self) -> None:
         """Short-circuit the pipeline with an empty result (dangling inputs)."""

@@ -1,11 +1,10 @@
 """Parallel execution: coordination-free partitioned evaluation and a work model."""
 
-from repro.parallel.executor import ParallelExecutor, parallel_two_path, parallel_matmul
+from repro.parallel.executor import ParallelExecutor, parallel_matmul
 from repro.parallel.workmodel import ParallelWorkModel, amdahl_speedup
 
 __all__ = [
     "ParallelExecutor",
-    "parallel_two_path",
     "parallel_matmul",
     "ParallelWorkModel",
     "amdahl_speedup",

@@ -13,13 +13,14 @@ parallel speedups for the matrix part; the light probing is a vectorized
 NumPy gather (see :func:`repro.joins.baseline.probe_pairs_block`), which
 also releases the GIL for the bulk of its work.
 
-:func:`parallel_two_path` is a thin wrapper over the shared planner
-pipeline: with ``cores > 1`` the ``combinatorial_light`` operator probes in
-per-core chunks — every worker returns a columnar
-:class:`~repro.data.pairblock.PairBlock`, and the merge is one array
-concatenation plus a single sort of the packed keys instead of per-worker
-set unions — and the dense backend row-partitions the heavy product via
-:func:`parallel_matmul`.
+A parallel evaluation is the ordinary pipeline under
+``config.with_cores(cores)`` (e.g. ``two_path_join(R, S,
+config.with_thresholds(d1, d2).with_cores(cores))``): the
+``combinatorial_light`` operator then probes in per-core chunks — every
+worker returns a columnar :class:`~repro.data.pairblock.PairBlock`, and the
+merge is one array concatenation plus a single sort of the packed keys
+instead of per-worker set unions — and the dense backend row-partitions the
+heavy product via :func:`parallel_matmul`.
 """
 
 from __future__ import annotations
@@ -29,11 +30,10 @@ import time
 from concurrent.futures import BrokenExecutor, ThreadPoolExecutor
 from concurrent.futures import TimeoutError as FuturesTimeout
 from dataclasses import dataclass
-from typing import Any, Callable, List, Optional, Sequence, Set, Tuple, TypeVar
+from typing import Any, Callable, List, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
-from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.data.relation import Relation
 from repro.errors import (
     QueryTimeoutError,
@@ -48,7 +48,6 @@ from repro.obs.trace import current_trace
 
 T = TypeVar("T")
 R = TypeVar("R")
-Pair = Tuple[int, int]
 
 
 def _traced_task(trace, func: Callable[[T], R]) -> Callable[[T], R]:
@@ -327,72 +326,6 @@ def parallel_matmul(
     return out
 
 
-@dataclass
-class ParallelJoinResult:
-    """Output and timing of a parallel two-path evaluation."""
-
-    pairs: Set[Pair]
-    seconds: float
-    cores: int
-    light_seconds: float = 0.0
-    matrix_seconds: float = 0.0
-
-
-def parallel_two_path(
-    left: Relation,
-    right: Relation,
-    delta1: int,
-    delta2: int,
-    cores: int = 1,
-    config: MMJoinConfig = DEFAULT_CONFIG,
-    session=None,
-) -> ParallelJoinResult:
-    """Evaluate the 2-path MMJoin with explicit thresholds across ``cores`` workers.
-
-    Used by the multi-core benchmarks (Figures 4d-4g).  The evaluation goes
-    through the shared planner pipeline; the explicit thresholds pin the
-    strategy to mmjoin and ``cores`` drives both the chunked light probing
-    and the row-partitioned heavy product.
-
-    ``session`` attaches a :class:`~repro.serve.session.QuerySession`: the
-    evaluation then reuses the session's cached layouts/partitions and its
-    persistent worker pool instead of spinning fresh ones up per call.
-    """
-    # Imported lazily: the planner pipeline's operators use this module's
-    # chunking helpers, so a module-level import would be circular.
-    from repro.plan.planner import Planner
-    from repro.plan.query import TwoPathQuery
-
-    start = time.perf_counter()
-    run_config = config.with_thresholds(delta1, delta2).with_cores(cores)
-    if session is not None:
-        served = session.evaluate(
-            TwoPathQuery(left=left, right=right), use_memo=False, config=run_config
-        )
-        if served.plan is None:
-            # The session routed the query shard-wise (no single plan); the
-            # phase timings live in the rolled-up explanation instead.
-            return ParallelJoinResult(
-                pairs=served.pairs,
-                seconds=time.perf_counter() - start,
-                cores=max(int(cores), 1),
-            )
-        plan = served.plan
-    else:
-        planner = Planner(config=run_config)
-        plan = planner.execute(TwoPathQuery(left=left, right=right))
-    state = plan.state
-    assert state is not None
-    return ParallelJoinResult(
-        pairs=state.pairs,  # columnar result → Python set, once, at this boundary
-        seconds=time.perf_counter() - start,
-        cores=max(int(cores), 1),
-        light_seconds=state.timings.get("light", 0.0),
-        matrix_seconds=state.timings.get("matrix_build", 0.0)
-        + state.timings.get("matrix_multiply", 0.0),
-    )
-
-
 def split_relation(relation: Relation, parts: int) -> List[Relation]:
     """Split a relation into row chunks (one per worker)."""
     if len(relation) == 0:
@@ -408,6 +341,3 @@ def split_relation(relation: Relation, parts: int) -> List[Relation]:
         )
     return chunks
 
-
-# Backwards-compatible alias (pre-registry name).
-_split_relation = split_relation

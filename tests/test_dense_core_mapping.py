@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.config import EXTRACT_MODES, MMJoinConfig
-from repro.core.two_path import two_path_join_detailed
+from repro.core.two_path import two_path_join
 from repro.data.relation import Relation
 from repro.joins.hash_join import hash_join_project
 from repro.matmul import mapping as core_mapping
@@ -223,14 +223,14 @@ class TestExtractModeEndToEnd:
         left, right = _heavy_pair()
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                               extract_mode=mode)
-        result = two_path_join_detailed(left, right, config=config)
+        result = two_path_join(left, right, config=config)
         assert result.pairs == hash_join_project(left, right)
 
     def test_core_mode_surfaces_geometry_in_explain(self):
         left, right = _heavy_pair()
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                               extract_mode="core")
-        result = two_path_join_detailed(left, right, config=config)
+        result = two_path_join(left, right, config=config)
         heavy = next(op for op in result.explanation.operators
                      if op.operator == "matmul_heavy")
         assert heavy.detail["extract_mode"] == "core"

@@ -18,8 +18,8 @@ import re
 from strategies import random_relation, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
-from repro.core.star import star_join_detailed
-from repro.core.two_path import two_path_join_detailed
+from repro.core.star import star_join
+from repro.core.two_path import two_path_join, two_path_join_counts
 from repro.serve import QuerySession
 
 # Any float-formatted number (plain or scientific) is volatile timing/cost.
@@ -50,19 +50,19 @@ def test_normalize_masks_floats_keeps_ints():
 
 def test_explain_two_path_dense_golden(golden):
     config = MMJoinConfig(delta1=2, delta2=2, matrix_backend="dense")
-    result = two_path_join_detailed(_left(), _right(), config=config)
+    result = two_path_join(_left(), _right(), config=config)
     golden("explain_two_path_dense", normalize(result.explanation.format()))
 
 
 def test_explain_two_path_counts_sparse_golden(golden):
     config = MMJoinConfig(delta1=2, delta2=2, matrix_backend="sparse")
-    result = two_path_join_detailed(_left(), _right(), config=config, with_counts=True)
+    result = two_path_join_counts(_left(), _right(), config=config)
     golden("explain_two_path_counts_sparse", normalize(result.explanation.format()))
 
 
 def test_explain_two_path_wcoj_golden(golden):
     config = MMJoinConfig(matrix_backend="dense").without_optimizer()
-    result = two_path_join_detailed(_left(), _right(), config=config)
+    result = two_path_join(_left(), _right(), config=config)
     golden("explain_two_path_wcoj", normalize(result.explanation.format()))
 
 
@@ -73,7 +73,7 @@ def test_explain_star_dense_golden(golden):
         for seed in (1, 2, 3)
     ]
     config = MMJoinConfig(delta1=2, delta2=2, matrix_backend="dense")
-    result = star_join_detailed(relations, config=config)
+    result = star_join(relations, config=config)
     golden("explain_star_dense", normalize(result.explanation.format()))
 
 

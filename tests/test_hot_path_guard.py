@@ -1,5 +1,6 @@
 """Deterministic guard: the cold path dedups by sorting packed keys, twice at most,
-reflects on no signature, and the set joins build no Python tuple inside a query.
+reflects on no signature, and neither the set joins nor the one-shot joins and
+their block baselines build a Python tuple inside a query.
 
 ``np.unique`` (a stable argsort plus gathers once ``return_index`` is asked
 for) and ``np.lexsort`` are what the result layer used to deduplicate with;
@@ -18,10 +19,18 @@ import pytest
 from test_scaling_guard import dense_rows, sparse_rows
 
 from repro.cli import _serve_command
+from repro.core.config import MMJoinConfig
+from repro.core.star import star_join
+from repro.core.two_path import two_path_join, two_path_join_counts
 from repro.data.pairblock import CountedPairBlock, PairBlock
 from repro.data.relation import Relation
 from repro.data.setfamily import SetFamily
-from repro.joins.hash_join import hash_join_project
+from repro.joins.baseline import (
+    combinatorial_star,
+    combinatorial_star_block,
+    combinatorial_two_path_block,
+)
+from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 from repro.serve import QuerySession
 from repro.setops.scj import scj_bruteforce
 from repro.setops.ssj import ssj_bruteforce
@@ -143,3 +152,21 @@ def test_set_joins_stay_columnar(forbidden_sorts, forbidden_views, capsys):
         assert sweep[c].counts == expected[c].counts
         assert sweep[c].pairs == expected[c].pairs
     assert contained.pairs == expected_scj.pairs
+
+
+def test_one_shot_joins_stay_columnar(forbidden_views):
+    relation = Relation(dense_rows(1), name="R")
+    # The first rows cover a few x values only, which keeps the 3-star small.
+    head = Relation(dense_rows(1)[:300], name="H")
+    star_input = [head, head, head]
+    pairs = two_path_join(relation, relation)
+    counted = two_path_join_counts(relation, relation)
+    star = star_join(star_input, config=MMJoinConfig(delta1=2, delta2=2))
+    baseline = combinatorial_two_path_block(relation, relation)
+    baseline_star = combinatorial_star_block(star_input)
+    assert pairs.strategy == counted.strategy == star.strategy == "mmjoin"
+    assert pairs.result_block == baseline and star.result_block == baseline_star
+    forbidden_views()  # the caller's reads are allowed to materialise
+    assert pairs.pairs == hash_join_project(relation, relation)
+    assert counted.counts == hash_join_project_counts(relation, relation)
+    assert star.pairs == combinatorial_star(star_input)

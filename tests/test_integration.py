@@ -1,5 +1,7 @@
 """Integration tests: end-to-end scenarios spanning multiple subsystems."""
 
+import doctest
+
 import pytest
 
 from repro import (
@@ -35,7 +37,7 @@ class TestPaperExample1:
         graph = generators.example1_instance(4000, num_communities=2, seed=9)
         result = two_path_join(graph, graph)
         assert result.strategy == "mmjoin"
-        assert result.matrix_dims[1] > 0  # some heavy witnesses existed
+        assert result.plan.state.matrix_dims[1] > 0  # some heavy witnesses existed
 
 
 class TestDatasetPipelines:
@@ -52,7 +54,7 @@ class TestDatasetPipelines:
         relations = [sample, sample.swap().swap(), sample]
         from repro.joins.baseline import combinatorial_star
 
-        assert star_join(relations).tuples == combinatorial_star(relations)
+        assert star_join(relations).pairs == combinatorial_star(relations)
 
     def test_catalog_workflow(self):
         catalog = Catalog()
@@ -113,6 +115,12 @@ class TestPublicAPI:
         R = Relation.from_pairs([(1, 10), (2, 10), (3, 11)], name="R")
         result = sorted(two_path_join(R, R).pairs)
         assert result == [(1, 1), (1, 2), (2, 1), (2, 2), (3, 3)]
+
+    def test_package_doctest(self):
+        import repro
+
+        outcome = doctest.testmod(repro)
+        assert outcome.attempted > 0 and outcome.failed == 0, outcome
 
     def test_version_string(self):
         import repro

@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.core.config import MMJoinConfig
+from repro.core.two_path import two_path_join
 from repro.joins.hash_join import hash_join_project
-from repro.parallel.executor import ParallelExecutor, parallel_matmul, parallel_two_path
+from repro.parallel.executor import ParallelExecutor, parallel_matmul
 from repro.parallel.workmodel import (
     ALGORITHM_PARALLEL_FRACTIONS,
     ParallelWorkModel,
@@ -59,16 +61,19 @@ class TestParallelTwoPath:
     def test_matches_baseline(self, skewed_pair, cores):
         left, right = skewed_pair
         expected = hash_join_project(left, right)
-        result = parallel_two_path(left, right, delta1=3, delta2=3, cores=cores)
+        config = MMJoinConfig().with_thresholds(3, 3).with_cores(cores)
+        result = two_path_join(left, right, config=config)
         assert result.pairs == expected
-        assert result.cores == cores
+        assert result.plan.state.config.cores == cores
 
     def test_phase_timings_reported(self, skewed_pair):
         left, right = skewed_pair
-        result = parallel_two_path(left, right, delta1=2, delta2=2, cores=2)
-        assert result.light_seconds >= 0
-        assert result.matrix_seconds >= 0
-        assert result.seconds >= result.light_seconds
+        config = MMJoinConfig().with_thresholds(2, 2).with_cores(2)
+        result = two_path_join(left, right, config=config)
+        timings = result.plan.state.timings
+        assert timings["light"] >= 0
+        assert timings["matrix_build"] + timings["matrix_multiply"] >= 0
+        assert result.seconds >= timings["light"]
 
 
 class TestWorkModel:

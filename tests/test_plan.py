@@ -4,7 +4,8 @@ import pytest
 
 from repro.bench.runner import time_call
 from repro.core.config import MMJoinConfig
-from repro.core.two_path import two_path_join, two_path_join_detailed
+from repro.core.star import star_join
+from repro.core.two_path import two_path_join
 from repro.data.setfamily import SetFamily
 from repro.engines.registry import make_engine
 from repro.joins.baseline import combinatorial_star
@@ -56,18 +57,18 @@ class TestPlanExecution:
     def test_two_path_matches_baseline(self, skewed_pair):
         left, right = skewed_pair
         plan = Planner().execute(TwoPathQuery(left=left, right=right))
-        assert plan.state.pairs == hash_join_project(left, right)
+        assert plan.state.result_block.to_set() == hash_join_project(left, right)
 
     def test_counting_matches_baseline(self, skewed_pair):
         left, right = skewed_pair
         plan = Planner().execute(TwoPathQuery(left=left, right=right, counting=True))
-        assert plan.state.counts == hash_join_project_counts(left, right)
+        assert plan.state.result_counted.to_dict() == hash_join_project_counts(left, right)
 
     def test_star_matches_baseline(self, tiny_relation, tiny_relation_s):
         relations = [tiny_relation, tiny_relation_s, tiny_relation]
         config = MMJoinConfig(delta1=2, delta2=2)
         plan = Planner(config=config).execute(StarQuery(relations))
-        assert plan.state.pairs == combinatorial_star(relations)
+        assert plan.state.result_block.to_set() == combinatorial_star(relations)
 
     def test_forced_mmjoin_runs_every_operator(self, skewed_pair):
         left, right = skewed_pair
@@ -125,9 +126,7 @@ class TestExplain:
         assert result.explanation.query_kind == "two_path"
 
     def test_star_explain(self, tiny_relation, tiny_relation_s):
-        from repro.core.star import star_join_detailed
-
-        result = star_join_detailed(
+        result = star_join(
             [tiny_relation, tiny_relation_s, tiny_relation],
             config=MMJoinConfig(delta1=2, delta2=2),
         )
@@ -153,7 +152,7 @@ class TestDetailsPlumbing:
 
     def test_bench_measurement_carries_details(self, skewed_pair):
         left, right = skewed_pair
-        measurement = time_call(two_path_join_detailed, left, right, repeats=1)
+        measurement = time_call(two_path_join, left, right, repeats=1)
         assert measurement.details["strategy"] in ("wcoj", "mmjoin")
         assert any(op["operator"] == "matmul_heavy" for op in measurement.details["operators"])
 
@@ -163,10 +162,10 @@ class TestLegacyTimings:
         left, right = skewed_pair
         result = two_path_join(left, right, config=MMJoinConfig(delta1=2, delta2=2))
         for key in ("partition", "light", "matrix_build", "matrix_multiply", "total"):
-            assert key in result.timings, key
+            assert key in result.plan.state.timings, key
 
     def test_operator_timings_added(self, skewed_pair):
         left, right = skewed_pair
         result = two_path_join(left, right, config=MMJoinConfig(delta1=2, delta2=2))
         for name in OPERATOR_NAMES:
-            assert name in result.timings, name
+            assert name in result.plan.state.timings, name

@@ -31,7 +31,7 @@ class TestTwoPathProperty:
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
         result = two_path_join(left, right, config=config)
         assert result.pairs == expected
-        assert result.backend == backend or result.matrix_dims == (0, 0, 0)
+        assert result.backend == backend or result.plan.state.matrix_dims == (0, 0, 0)
 
     def test_counts_equal_combinatorial(self, seed, backend):
         left = random_relation(seed, name="R")
@@ -54,7 +54,7 @@ class TestStarProperty:
         expected = combinatorial_star(relations)
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
         result = star_join(relations, config=config)
-        assert result.tuples == expected
+        assert result.pairs == expected
 
 
 @pytest.mark.parametrize("seed", SEEDS)

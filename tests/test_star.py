@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import MMJoinConfig
-from repro.core.star import star_join, star_join_detailed
+from repro.core.star import star_join
 from repro.data import generators
 from repro.data.relation import Relation
 from repro.joins.baseline import combinatorial_star
@@ -22,73 +22,74 @@ class TestCorrectness:
         relations = [tiny_relation, tiny_relation_s]
         expected = combinatorial_star(relations)
         result = star_join(relations, config=MMJoinConfig(delta1=2, delta2=2))
-        assert result.tuples == expected
+        assert result.pairs == expected
 
     def test_three_relation_star_matches_baseline(self, star_relations):
         expected = combinatorial_star(star_relations)
         result = star_join(star_relations, config=MMJoinConfig(delta1=2, delta2=2))
-        assert result.tuples == expected
+        assert result.pairs == expected
 
     @pytest.mark.parametrize("delta1,delta2", [(1, 1), (2, 3), (3, 2), (50, 50)])
     def test_any_thresholds(self, tiny_relation, tiny_relation_s, delta1, delta2):
         relations = [tiny_relation, tiny_relation_s, tiny_relation]
         expected = combinatorial_star(relations)
         result = star_join(relations, config=MMJoinConfig(delta1=delta1, delta2=delta2))
-        assert result.tuples == expected
+        assert result.pairs == expected
 
     def test_optimizer_choice_still_correct(self, star_relations):
         expected = combinatorial_star(star_relations)
         result = star_join(star_relations)
-        assert result.tuples == expected
+        assert result.pairs == expected
 
     def test_four_relation_star(self, tiny_relation, tiny_relation_s):
         relations = [tiny_relation, tiny_relation_s, tiny_relation, tiny_relation_s]
         expected = combinatorial_star(relations)
         result = star_join(relations, config=MMJoinConfig(delta1=1, delta2=1))
-        assert result.tuples == expected
+        assert result.pairs == expected
 
     def test_single_relation(self, tiny_relation):
         result = star_join([tiny_relation])
-        assert result.tuples == {(int(x),) for x in tiny_relation.x_values()}
+        assert result.pairs == {(int(x),) for x in tiny_relation.x_values()}
 
     def test_empty_input_list(self):
-        assert star_join([]).tuples == set()
+        assert star_join([]).pairs == set()
 
     def test_empty_relation_in_star(self, tiny_relation):
-        assert star_join([tiny_relation, Relation.empty()]).tuples == set()
+        assert star_join([tiny_relation, Relation.empty()]).pairs == set()
 
     def test_disjoint_witnesses(self):
         r1 = Relation.from_pairs([(1, 10)])
         r2 = Relation.from_pairs([(2, 20)])
-        assert star_join([r1, r2]).tuples == set()
+        assert star_join([r1, r2]).pairs == set()
 
     def test_forced_wcoj(self, star_relations):
         result = star_join(star_relations, config=MMJoinConfig(use_optimizer=False))
         assert result.strategy == "wcoj"
-        assert result.tuples == combinatorial_star(star_relations)
+        assert result.pairs == combinatorial_star(star_relations)
 
 
 class TestMetadata:
     def test_result_protocol(self, tiny_relation, tiny_relation_s):
         result = star_join([tiny_relation, tiny_relation_s])
-        assert len(result) == result.output_size()
-        tup = next(iter(result.tuples))
-        assert tup in result
+        assert len(result) == result.output_size == len(result.pairs)
+        tup = next(iter(result.pairs))
+        assert result.result_block.find(tup) >= 0
 
     def test_timings_and_dims(self, star_relations):
-        result = star_join_detailed(star_relations, config=MMJoinConfig(delta1=2, delta2=2))
-        assert "total" in result.timings
+        result = star_join(star_relations, config=MMJoinConfig(delta1=2, delta2=2))
+        state = result.plan.state
+        assert "total" in state.timings
         assert result.strategy == "mmjoin"
-        assert result.light_tuples + result.heavy_tuples >= len(result.tuples)
+        assert len(state.light_block) + len(state.heavy_block) >= len(result)
 
     def test_output_arity_matches_relation_count(self, star_relations):
         result = star_join(star_relations, config=MMJoinConfig(delta1=2, delta2=2))
-        for tup in list(result.tuples)[:20]:
+        for tup in list(result.pairs)[:20]:
             assert len(tup) == 3
 
     def test_every_output_tuple_has_witness(self, star_relations):
         result = star_join(star_relations, config=MMJoinConfig(delta1=2, delta2=2))
-        for tup in list(result.tuples)[:50]:
+        for tup in list(result.pairs)[:50]:
             common = set(star_relations[0].neighbors_x(tup[0]).tolist())
             for rel, head in zip(star_relations[1:], tup[1:]):
                 common &= set(rel.neighbors_x(head).tolist())

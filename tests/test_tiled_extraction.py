@@ -167,12 +167,12 @@ def test_backends_thread_tile_rows(skewed_pair):
 def test_operator_surfaces_extraction_stats_in_explain(skewed_pair):
     """The heavy operator's explain() detail carries the memory fields."""
     from repro.core.config import MMJoinConfig
-    from repro.core.two_path import two_path_join_detailed
+    from repro.core.two_path import two_path_join
 
     left, right = skewed_pair
     config = MMJoinConfig(delta1=2, delta2=2, matrix_backend="dense",
                           extract_tile_rows=3)
-    result = two_path_join_detailed(left, right, config=config)
+    result = two_path_join(left, right, config=config)
     heavy = next(op for op in result.explanation.operators
                  if op.operator == "matmul_heavy")
     if heavy.status != "ran" or "extract_mode" not in heavy.detail:

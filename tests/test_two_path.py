@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.config import MMJoinConfig
-from repro.core.two_path import two_path_join, two_path_join_counts, two_path_join_detailed
+from repro.core.two_path import two_path_join, two_path_join_counts
 from repro.data import generators
 from repro.data.relation import Relation
 from repro.joins.hash_join import hash_join_project, hash_join_project_counts
@@ -95,36 +95,36 @@ class TestCounting:
 class TestResultMetadata:
     def test_result_container_protocol(self, tiny_relation, tiny_relation_s):
         result = two_path_join(tiny_relation, tiny_relation_s)
-        assert len(result) == result.output_size() == len(result.pairs)
+        assert len(result) == result.output_size == len(result.result_block)
+        assert len(result.pairs) == len(result)
         some_pair = next(iter(result.pairs))
-        assert some_pair in result
-        assert set(iter(result)) == result.pairs
+        assert result.result_block.find(some_pair) >= 0
 
     def test_timings_present(self, skewed_pair):
         left, right = skewed_pair
         result = two_path_join(left, right, config=MMJoinConfig(delta1=2, delta2=2))
-        assert "total" in result.timings
-        assert result.timings["total"] >= 0
-        assert "light" in result.timings
+        timings = result.plan.state.timings
+        assert "total" in timings
+        assert timings["total"] >= 0
+        assert "light" in timings
 
     def test_matrix_dims_reported(self, skewed_pair):
         left, right = skewed_pair
         result = two_path_join(left, right, config=MMJoinConfig(delta1=1, delta2=1))
-        u, v, w = result.matrix_dims
+        heavy = next(op for op in result.explanation.operators if op.operator == "matmul_heavy")
+        u, v, w = heavy.detail["matrix_dims"]
         assert u >= 0 and v >= 0 and w >= 0
-        assert result.heavy_pairs >= 0
+        assert heavy.detail["heavy_pairs"] == len(result.plan.state.heavy_block)
 
     def test_optimizer_decision_attached(self, skewed_pair):
         left, right = skewed_pair
         result = two_path_join(left, right)
-        assert result.optimizer_decision is not None
-        assert result.optimizer_decision.strategy == result.strategy
+        decision = result.plan.state.decision
+        assert decision is not None
+        assert decision.strategy == result.strategy
 
     def test_light_and_heavy_cover_output(self, skewed_pair):
         left, right = skewed_pair
         result = two_path_join(left, right, config=MMJoinConfig(delta1=2, delta2=2))
-        assert result.light_pairs + result.heavy_pairs >= len(result.pairs)
-
-    def test_detailed_equals_plain(self, skewed_pair):
-        left, right = skewed_pair
-        assert two_path_join_detailed(left, right).pairs == two_path_join(left, right).pairs
+        state = result.plan.state
+        assert len(state.light_block) + len(state.heavy_block) >= len(result)
