@@ -20,7 +20,7 @@ import micro_extract_tiling
 from repro.core.config import MMJoinConfig
 from repro.core.two_path import two_path_join
 from repro.data.relation import Relation
-from repro.joins.hash_join import hash_join_project
+from repro.joins.baseline import combinatorial_two_path_block
 from repro.matmul.tiling import choose_tile_rows
 
 
@@ -79,7 +79,7 @@ def test_extraction_memory_bounded_via_explain_fields():
     config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                           extract_tile_rows=tile_rows)
     result = two_path_join(left, right, config=config)
-    assert result.pairs == hash_join_project(left, right)
+    assert result.result_block == combinatorial_two_path_block(left, right)
     heavy = next(op for op in result.explanation.operators
                  if op.operator == "matmul_heavy")
     detail = heavy.detail
@@ -99,11 +99,11 @@ def test_extraction_memory_bounded_via_explain_fields():
 def test_auto_tile_rows_matches_full_scan_output():
     """The density-aware default produces identical output to the full scan."""
     left, right = _sparse_output_pair()
-    expected = hash_join_project(left, right)
+    expected = combinatorial_two_path_block(left, right)
     for tile_rows in (None, 0, 1, 97, 10**6):
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                               extract_tile_rows=tile_rows)
-        assert two_path_join(left, right, config=config).pairs == expected
+        assert two_path_join(left, right, config=config).result_block == expected
 
 
 def test_choose_tile_rows_bounds():

@@ -40,7 +40,7 @@ def test_micro_shard_scaling_update_correctness():
 
     from repro.core.config import MMJoinConfig
     from repro.data.relation import Relation
-    from repro.joins.baseline import combinatorial_two_path
+    from repro.joins.baseline import combinatorial_two_path_block
     from repro.serve import QuerySession
 
     left_raw, right_raw = micro_shard_scaling.raw_arrays()
@@ -55,6 +55,6 @@ def test_micro_shard_scaling_update_correctness():
         kept = np.array(session.sharded("R").shard(target).data[::2])
         session.update_shard("R", target, kept)
         served = session.two_path("R", "S", use_memo=False)
-        assert served.pairs == combinatorial_two_path(
+        assert served.result_block == combinatorial_two_path_block(
             session.relation("R"), session.relation("S")
         )

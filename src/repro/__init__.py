@@ -7,9 +7,8 @@ This package is a from-scratch Python reproduction of the system described in
 * ``repro.data`` — binary relation storage, the columnar ``PairBlock`` /
   ``CountedPairBlock`` result representation, degree indexes, synthetic
   dataset generators that mirror the paper's evaluation datasets.
-* ``repro.joins`` — worst-case optimal join algorithms (hash, sort-merge,
-  leapfrog-style multiway intersection, generic join) and the combinatorial
-  output-sensitive baseline.
+* ``repro.joins`` — the combinatorial output-sensitive baseline (the
+  paper's Non-MMJoin) and the leapfrog-style sorted intersections it uses.
 * ``repro.matmul`` — dense (BLAS) and sparse (CSR) matrix multiplication
   kernels behind a backend registry, and a calibrated cost model.
 * ``repro.core`` — the paper's contribution: degree partitioning, the MMJoin
@@ -21,8 +20,6 @@ This package is a from-scratch Python reproduction of the system described in
   partition, combinatorial light, matmul heavy, dedup-merge).
 * ``repro.setops`` — set similarity join (SizeAware, SizeAware++, MMJoin),
   ordered SSJ and set containment join (PRETTI, LIMIT+, PIEJoin, MMJoin).
-* ``repro.engines`` — baseline query engines that stand in for the DBMSs the
-  paper compares against.
 * ``repro.bench`` — the harness that regenerates every table and figure.
 
 Quickstart

@@ -19,9 +19,8 @@ class Measurement:
     """One timed call: trimmed-mean seconds plus the callable's return value.
 
     ``details`` carries the plan explanation when the measured callable
-    returns a planner-backed result (an object exposing ``explanation`` or a
-    ``details`` mapping): strategy, backend, thresholds and per-operator
-    estimated vs. actual cost.
+    returns a planner-backed result (an object exposing ``explanation``):
+    strategy, backend, thresholds and per-operator estimated vs. actual cost.
     """
 
     seconds: float
@@ -45,9 +44,6 @@ def extract_details(value: Any) -> Dict[str, Any]:
     explanation = getattr(value, "explanation", None)
     if explanation is not None and hasattr(explanation, "as_details"):
         return explanation.as_details()
-    details = getattr(value, "details", None)
-    if isinstance(details, dict):
-        return dict(details)
     return {}
 
 

@@ -3,9 +3,9 @@
 Ten subcommands cover the common workflows without writing any Python:
 
 * ``repro-cli join <edge-list>`` — evaluate the 2-path join-project over an
-  edge-list file (with ``--engine`` choosing any registered query engine,
-  and ``--shards K`` serving through a sharded session) and report the
-  output size, strategy and timings;
+  edge-list file (with ``--engine`` choosing MMJoin or the combinatorial
+  Non-MMJoin baseline, and ``--shards K`` serving through a sharded session)
+  and report the output size, strategy and timings;
 * ``repro-cli shard <edge-list> --shards K`` — inspect the skew-aware
   sharding: shard sizes, heavy-key shards, the per-shard plan breakdown and
   per-shard cache hit rates over repeated serving;
@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import time
 from typing import Optional, Sequence
 
 from repro.bench.report import format_table
@@ -45,11 +46,12 @@ from repro.core.star import star_join
 from repro.core.two_path import two_path_join
 from repro.data.loaders import load_edge_list
 from repro.data.setfamily import SetFamily
-from repro.engines.registry import available_engines, make_engine
+from repro.joins.baseline import combinatorial_two_path_block
 from repro.setops.scj import SCJ_METHODS, set_containment_join
 from repro.setops.ssj import SSJ_METHODS, set_similarity_join
 
 BACKEND_CHOICES = list(MATRIX_BACKENDS)
+ENGINE_CHOICES = ["mmjoin", "non-mmjoin"]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -62,8 +64,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     join = sub.add_parser("join", help="evaluate the 2-path join-project over an edge list")
     _add_join_options(join)
-    join.add_argument("--engine", choices=available_engines(), default="mmjoin",
-                      help="query engine to evaluate with (default: mmjoin)")
+    join.add_argument("--engine", choices=ENGINE_CHOICES, default="mmjoin",
+                      help="mmjoin, or the combinatorial non-mmjoin baseline "
+                           "(default: mmjoin)")
     join.add_argument("--shards", type=int, default=1,
                       help="serve through a sharded session with this many hash "
                            "shards (mmjoin engine only; default: unsharded)")
@@ -200,14 +203,14 @@ def _config_from_args(args: argparse.Namespace) -> MMJoinConfig:
 def _run_join(args: argparse.Namespace) -> int:
     relation = load_edge_list(args.path)
     config = _config_from_args(args)
-    if args.engine != "mmjoin":
-        engine = make_engine(args.engine, config=config)
-        engine_result = engine.run_two_path(relation, relation)
+    if args.engine == "non-mmjoin":
+        start = time.perf_counter()
+        block = combinatorial_two_path_block(relation, relation)
         rows = [{
             "tuples": len(relation),
-            "output_pairs": len(engine_result),
+            "output_pairs": len(block),
             "engine": args.engine,
-            "seconds": engine_result.seconds,
+            "seconds": time.perf_counter() - start,
         }]
         print(format_table(rows, title=f"2-path join-project over {args.path}"))
         return 0

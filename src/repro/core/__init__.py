@@ -7,7 +7,6 @@ from repro.core.two_path import two_path_join, two_path_join_counts
 from repro.core.star import star_join
 from repro.core.optimizer import CostBasedOptimizer, OptimizerDecision
 from repro.core.bsi import BooleanSetIntersection, BSIBatchScheduler, BSIWorkloadResult
-from repro.core.compressed import CompressedJoinView, build_compressed_view
 from repro.core import theory
 
 __all__ = [
@@ -26,7 +25,5 @@ __all__ = [
     "BooleanSetIntersection",
     "BSIBatchScheduler",
     "BSIWorkloadResult",
-    "CompressedJoinView",
-    "build_compressed_view",
     "theory",
 ]

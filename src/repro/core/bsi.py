@@ -105,8 +105,8 @@ class BooleanSetIntersection:
         The batch relation ``T(x, z)`` filters R and S down to the relevant
         sets; the filtered pair is then evaluated with the MMJoin two-path
         algorithm (``use_mmjoin=True``) or the combinatorial intersection
-        baseline (``use_mmjoin=False``), and the result is intersected with
-        the batch pairs.
+        baseline (``use_mmjoin=False``), and each batch pair is looked up in
+        the result.
         """
         start = time.perf_counter()
         pairs = [(int(a), int(b)) for a, b in batch]
@@ -120,13 +120,15 @@ class BooleanSetIntersection:
         right_filtered = self.right.restrict_x(wanted_b, name=f"{self.right.name}|T")
 
         if use_mmjoin:
-            join = two_path_join(left_filtered, right_filtered, config=self.config)
-            positives = join.pairs
+            # The result block is in canonical order: one binary search per pair.
+            block = two_path_join(left_filtered, right_filtered,
+                                  config=self.config).result_block
+            answers = {pair: block.find(pair) >= 0 for pair in pairs}
             method = "mmjoin"
         else:
             positives = combinatorial_two_path_filtered(left_filtered, right_filtered, pairs)
+            answers = {pair: pair in positives for pair in pairs}
             method = "combinatorial"
-        answers = {pair: pair in positives for pair in pairs}
         return BSIBatchResult(
             answers=answers,
             processing_seconds=time.perf_counter() - start,

@@ -1,7 +1,7 @@
 """A small catalog of named relations.
 
-Query-level entry points (the engines in :mod:`repro.engines` and the bench
-harness) operate over a :class:`Catalog` so that a relation's lazily built
+Query-level entry points (the serving session) operate over a
+:class:`Catalog` so that a relation's lazily built
 indexes are shared between repeated runs, mirroring how the paper's
 prototype indexes every relation once during preprocessing.
 """

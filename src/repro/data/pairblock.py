@@ -30,7 +30,7 @@ that replaces those sets *inside* the pipeline:
 
 Python sets appear only at the API boundary: :meth:`PairBlock.to_set` /
 :meth:`PairBlock.from_pairs` (and the counted dict equivalents) convert
-where engines, the CLI and the result objects need them, and every result
+where the CLI and the result objects need them, and every result
 object declares those attributes with :class:`lazy_view`, so the conversion
 runs on first read, once, and never inside a query.
 """
@@ -138,8 +138,8 @@ class lazy_view:
     ``obj.pairs`` the cached ``obj.result_block.to_set()`` — the single
     definition of the API-boundary conversion every result object shares.
     While the block is ``None`` the view reads as ``default()``, uncached;
-    assigning stores a ready-made view (the Python-native engines compute
-    their sets directly).  On the class it reads ``None``, which a dataclass
+    assigning stores a ready-made view (SizeAware++ finds part of its pairs
+    in Python).  On the class it reads ``None``, which a dataclass
     takes as the field default: an annotated view is an optional init argument.
     """
 

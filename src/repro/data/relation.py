@@ -17,7 +17,8 @@ light/heavy masks and adjacency matrices are all array expressions over it,
 so the paper's "indexing relations" preprocessing step (Section 5) really is
 a linear pass after the sort.  ``index_x()/index_y()/degrees_x()/degrees_y()``
 are lazily materialised ``dict`` *views* of the same CSR for the per-key
-baseline engines; nothing on the MMJoin path touches them.
+code (the combinatorial star expansion, the BSI filter, the set-family
+accessors); the two-path pipeline does not touch them.
 """
 
 from __future__ import annotations

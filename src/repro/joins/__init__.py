@@ -1,21 +1,11 @@
-"""Join algorithms: the worst-case-optimal substrate and combinatorial baselines."""
+"""The combinatorial Non-MMJoin baseline and its sorted-intersection primitives."""
 
-from repro.joins.hash_join import hash_join, hash_join_project
-from repro.joins.sort_merge import sort_merge_join, sort_merge_join_project
-from repro.joins.leapfrog import intersect_sorted, leapfrog_intersection, star_full_join
-from repro.joins.generic_join import generic_star_join, generic_star_join_project
-from repro.joins.baseline import combinatorial_two_path, combinatorial_star
+from repro.joins.leapfrog import intersect_sorted, leapfrog_intersection
+from repro.joins.baseline import combinatorial_star_block, combinatorial_two_path_block
 
 __all__ = [
-    "hash_join",
-    "hash_join_project",
-    "sort_merge_join",
-    "sort_merge_join_project",
     "intersect_sorted",
     "leapfrog_intersection",
-    "star_full_join",
-    "generic_star_join",
-    "generic_star_join_project",
-    "combinatorial_two_path",
-    "combinatorial_star",
+    "combinatorial_two_path_block",
+    "combinatorial_star_block",
 ]

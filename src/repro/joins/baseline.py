@@ -14,14 +14,12 @@ query's :class:`~repro.data.pairblock.KeyLayout`, and the block-native
 variants (:func:`combinatorial_two_path_block`,
 :func:`combinatorial_two_path_counted`, :func:`combinatorial_star_block`)
 deduplicate with one plain sort of the packed keys of the resulting
-:class:`~repro.data.pairblock.PairBlock`.  The set-returning public functions
-are thin boundary wrappers kept for the baseline engines and the ablation
-benchmarks.
+:class:`~repro.data.pairblock.PairBlock`.
 """
 
 from __future__ import annotations
 
-from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
@@ -252,42 +250,6 @@ def star_expansion_block(
     return PairBlock.concat_all(compacted, arity=arity)
 
 
-def star_counted_block(
-    relations: Sequence[Relation],
-    chunk_rows: int = EXPANSION_CHUNK_ROWS,
-) -> CountedPairBlock:
-    """Witness-counting star expansion (one count per shared-y combination).
-
-    Count aggregation happens per expansion chunk (chunks partition the
-    witnesses) and the chunk counts sum in the final merge — the star
-    equivalent of :func:`combinatorial_two_path_counted`.
-    """
-    if not relations or any(len(r) == 0 for r in relations):
-        return CountedPairBlock.empty(max(len(relations), 1))
-    pending: List[np.ndarray] = []
-    pending_rows = 0
-    merged: CountedPairBlock | None = None
-
-    def flush(rows: List[np.ndarray], acc: CountedPairBlock | None) -> CountedPairBlock:
-        expansion = PairBlock.from_array(np.concatenate(rows, axis=0))
-        part = CountedPairBlock.from_expansion(expansion).dedup()
-        return part if acc is None else acc.concat(part)
-
-    for lists in _star_neighbour_lists(relations, None):
-        check_deadline("expand.chunk")
-        combos = cartesian_arrays(lists)
-        pending.append(combos)
-        pending_rows += combos.shape[0]
-        if pending_rows >= chunk_rows:
-            merged = flush(pending, merged)
-            pending, pending_rows = [], 0
-    if pending:
-        merged = flush(pending, merged)
-    if merged is None:
-        return CountedPairBlock.empty(len(relations))
-    return merged if merged.deduped else merged.dedup(reduce="sum")
-
-
 def _star_neighbour_lists(
     relations: Sequence[Relation], restrict_to: np.ndarray | None
 ):
@@ -304,7 +266,13 @@ def _star_neighbour_lists(
 
 
 def combinatorial_star_block(relations: Sequence[Relation]) -> PairBlock:
-    """Block-native projected star query (shared-y cartesian expansion)."""
+    """Block-native projected star query (shared-y cartesian expansion).
+
+    Enumerates shared ``y`` values (worst-case optimal choice of the first
+    variable) and expands the cartesian product of neighbour lists; the
+    running time matches Lemma 2's ``O(|D| * |OUT|^{1 - 1/k})`` shape on
+    skew-free inputs.
+    """
     return star_expansion_block(relations).dedup()
 
 
@@ -314,43 +282,6 @@ def cartesian_arrays(lists: Sequence[np.ndarray]) -> np.ndarray:
         return np.asarray(lists[0], dtype=np.int64).reshape(-1, 1)
     grids = np.meshgrid(*lists, indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1).astype(np.int64, copy=False)
-
-
-# --------------------------------------------------------------------------- #
-# Set-based boundary wrappers (public baseline API)
-# --------------------------------------------------------------------------- #
-def combinatorial_two_path(
-    left: Relation,
-    right: Relation,
-    with_counts: bool = False,
-) -> Set[Pair] | Dict[Pair, int]:
-    """Output-sensitive combinatorial evaluation of ``pi_{x,z}(R |><| S)``.
-
-    Boundary wrapper over the columnar expansion: returns a Python set (or
-    ``{(x, z): #witnesses}`` when ``with_counts`` is set) for the baseline
-    engines and tests.
-    """
-    if with_counts:
-        return combinatorial_two_path_counted(left, right).to_dict()
-    return combinatorial_two_path_block(left, right).to_set()
-
-
-def combinatorial_star(
-    relations: Sequence[Relation],
-    with_counts: bool = False,
-) -> Set[Tuple[int, ...]] | Dict[Tuple[int, ...], int]:
-    """Output-sensitive combinatorial evaluation of the projected star query.
-
-    Enumerates shared ``y`` values (worst-case optimal choice of the first
-    variable) and expands the cartesian product of neighbour lists; the
-    running time matches Lemma 2's ``O(|D| * |OUT|^{1 - 1/k})`` shape on
-    skew-free inputs.  Boundary wrapper returning Python collections.
-    """
-    if not relations or any(len(r) == 0 for r in relations):
-        return {} if with_counts else set()
-    if with_counts:
-        return star_counted_block(relations).to_dict()
-    return combinatorial_star_block(relations).to_set()
 
 
 def combinatorial_two_path_filtered(

@@ -5,12 +5,11 @@ Every executed :class:`~repro.plan.planner.PhysicalPlan` can render a
 operator (name, status, chosen backend where applicable, the optimizer's
 estimated cost in seconds, and the measured wall-clock seconds), plus the
 plan-level strategy, thresholds and backend choice.  The same structure
-feeds three consumers:
+feeds two consumers:
 
 * ``repro-cli explain`` prints :meth:`PlanExplanation.format`;
-* :class:`~repro.engines.base.EngineResult` carries
-  :meth:`PlanExplanation.as_details` in its ``details`` mapping;
-* the bench runner attaches the details to every measurement.
+* the bench runner attaches :meth:`PlanExplanation.as_details` to every
+  measurement.
 """
 
 from __future__ import annotations
@@ -36,7 +35,7 @@ class OperatorReport:
     detail: Dict[str, Any] = field(default_factory=dict)
 
     def as_dict(self) -> Dict[str, Any]:
-        """Flat dictionary form (used by ``EngineResult.details``)."""
+        """Flat dictionary form (one entry of :meth:`PlanExplanation.as_details`)."""
         row: Dict[str, Any] = {
             "operator": self.operator,
             "status": self.status,
@@ -78,7 +77,7 @@ class PlanExplanation:
         return [op.operator for op in self.operators if op.status == "ran"]
 
     def as_details(self) -> Dict[str, Any]:
-        """Flatten into the ``EngineResult.details`` mapping."""
+        """Flatten into the bench measurement's ``details`` mapping."""
         details: Dict[str, Any] = {
             "query": self.query_kind,
             "strategy": self.strategy,

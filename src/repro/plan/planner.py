@@ -11,8 +11,8 @@ matmul_heavy -> dedup_merge`` — into a :class:`PhysicalPlan`, wiring in
 * the :class:`~repro.matmul.registry.BackendRegistry` (which matmul kernel
   evaluates the heavy residual).
 
-``core/two_path.py``, ``core/star.py``, the engines, the parallel executor
-and the setops wrappers all route through here; none of them orchestrates
+``core/two_path.py``, ``core/star.py``, the parallel executor and the
+setops wrappers all route through here; none of them orchestrates
 partitioning or the light/heavy phases on its own any more.
 """
 

@@ -771,9 +771,9 @@ class QuerySession:
     def planner_for(self, config: MMJoinConfig) -> Planner:
         """One planner per config, all sharing the session state.
 
-        Exposed for session-aware adapters (e.g.
-        :class:`~repro.engines.registry.MMJoinEngine`) that need a planner
-        wired to this session's caches, registry and calibrated cost model.
+        Unsharded evaluation and the sharded executor both plan through it,
+        so every plan is wired to this session's caches, registry and
+        calibrated cost model.
         """
         with self._lock:
             planner = self._planners.get(config)

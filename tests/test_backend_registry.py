@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from oracle import two_path_pairs
 from repro.core.config import MATRIX_BACKENDS, MMJoinConfig
 from repro.matmul.cost_model import MatMulCostModel
 from repro.matmul.registry import (
@@ -171,7 +172,6 @@ class TestEndToEndPluggability:
         """A runtime-registered backend is selectable by name end-to-end:
         the config accepts it and the planner's heavy operator invokes it."""
         from repro.core.two_path import two_path_join
-        from repro.joins.hash_join import hash_join_project
 
         class TracingBackend(DenseBackend):
             name = "tracing-test-backend"
@@ -188,7 +188,7 @@ class TestEndToEndPluggability:
             delta1=2, delta2=2, matrix_backend=TracingBackend.name
         )
         result = two_path_join(left, right, config=config)
-        assert result.pairs == hash_join_project(left, right)
+        assert result.pairs == two_path_pairs(left, right)
         assert result.backend == TracingBackend.name
         assert TracingBackend.calls >= 1
 

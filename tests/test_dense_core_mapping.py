@@ -15,10 +15,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracle import two_path_pairs
 from repro.core.config import EXTRACT_MODES, MMJoinConfig
 from repro.core.two_path import two_path_join
 from repro.data.relation import Relation
-from repro.joins.hash_join import hash_join_project
 from repro.matmul import mapping as core_mapping
 from repro.matmul import tiling
 from repro.matmul.cost_model import MatMulCostModel
@@ -224,7 +224,7 @@ class TestExtractModeEndToEnd:
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend="dense",
                               extract_mode=mode)
         result = two_path_join(left, right, config=config)
-        assert result.pairs == hash_join_project(left, right)
+        assert result.pairs == two_path_pairs(left, right)
 
     def test_core_mode_surfaces_geometry_in_explain(self):
         left, right = _heavy_pair()
@@ -255,7 +255,7 @@ class TestExtractModeEndToEnd:
                 if op.operator == "matmul_heavy").detail
             assert detail_cold["mapping_cache"] == "miss"
             assert detail_warm["mapping_cache"] == "hit"
-            assert cold.pairs == warm.pairs == hash_join_project(left, right)
+            assert cold.pairs == warm.pairs == two_path_pairs(left, right)
             # Mutation bumps the relation version, invalidating the mapping.
             session.update("L", left)
             fresh = session.two_path("L", "R", use_memo=False)

@@ -1,12 +1,14 @@
-"""Cross-engine differential harness.
+"""Differential harness against an independent oracle.
 
-Every registered query engine, every matmul backend, serial and parallel
-execution, the session-cached vs. cold paths, and the sharded execution
-layer (across shard counts and cold / warm / ``update_shard`` session
-states) must produce *identical* pair sets (and witness counts where
-applicable) on random queries drawn from the shared strategies.  The
-combinatorial baseline is the oracle; the skewed / heavy-hitter generators
-are the adversarial case for shard placement.
+Both output-sensitive engines (MMJoin and the combinatorial Non-MMJoin),
+every matmul backend, serial and parallel execution, the session-cached vs.
+cold paths, and the sharded execution layer (across shard counts and cold /
+warm / ``update_shard`` session states) must produce *identical* pair sets
+(and witness counts where applicable) on random queries drawn from the
+shared strategies.  The oracle is ``tests/oracle.py`` (scipy products and a
+plain Python star, no ``repro`` import), so a bug in the key packing or the
+dedup cannot agree with itself; the skewed / heavy-hitter generators are the
+adversarial case for shard placement.
 
 All properties run derandomized (a fixed hypothesis seed per test), so the
 harness is deterministic in CI and a failure reproduces locally verbatim.
@@ -19,6 +21,7 @@ import os
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from oracle import star_pairs, two_path_counts, two_path_pairs
 from strategies import (
     relation_lists,
     relation_pairs,
@@ -40,17 +43,24 @@ from repro.faults import (
     RetryPolicy,
     inject,
 )
+from repro.core.star import star_join
 from repro.core.two_path import two_path_join, two_path_join_counts
-from repro.engines.registry import available_engines, make_engine
-from repro.joins.baseline import combinatorial_star, combinatorial_two_path
-from repro.joins.hash_join import hash_join_project_counts
+from repro.joins.baseline import combinatorial_star_block, combinatorial_two_path_block
 from repro.matmul.registry import make_default_registry
 from repro.plan.query import StarQuery, TwoPathQuery
 from repro.serve import QuerySession, TelemetryConfig
 from repro.setops.scj import scj_bruteforce
 from repro.setops.ssj import ssj_bruteforce
 
-ALL_ENGINES = available_engines()
+# The paper's two output-sensitive engines, each returning its result block.
+TWO_PATH_ENGINES = {
+    "mmjoin": lambda left, right: two_path_join(left, right).result_block,
+    "non-mmjoin": combinatorial_two_path_block,
+}
+STAR_ENGINES = {
+    "mmjoin": lambda rels: star_join(rels).result_block,
+    "non-mmjoin": combinatorial_star_block,
+}
 ALL_BACKENDS = make_default_registry().names()
 CORE_COUNTS = (1, 2)
 
@@ -126,20 +136,16 @@ class TestEnginesAgree:
     @given(pair=relation_pairs(max_size=80))
     def test_two_path_identical_across_engines(self, pair):
         left, right = pair
-        expected = combinatorial_two_path(left, right)
-        for name in ALL_ENGINES:
-            engine = make_engine(name)
-            assert engine.two_path(left, right) == expected, name
-            assert engine.two_path_block(left, right).to_set() == expected, name
+        expected = two_path_pairs(left, right)
+        for name, engine in TWO_PATH_ENGINES.items():
+            assert engine(left, right).to_set() == expected, name
 
     @settings(**DIFF_SETTINGS)
     @given(rels=relation_lists(max_size=50))
     def test_star_identical_across_engines(self, rels):
-        expected = combinatorial_star(rels)
-        for name in ALL_ENGINES:
-            engine = make_engine(name)
-            assert engine.star(rels) == expected, name
-            assert engine.star_block(rels).to_set() == expected, name
+        expected = star_pairs(rels)
+        for name, engine in STAR_ENGINES.items():
+            assert engine(rels).to_set() == expected, name
 
 
 # --------------------------------------------------------------------------- #
@@ -157,17 +163,15 @@ class TestBackendParallelGrid:
     @given(pair=relation_pairs(max_size=80))
     def test_pairs_identical(self, backend, cores, pair):
         left, right = pair
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         config = self._config(backend, cores)
         assert two_path_join(left, right, config=config).pairs == expected
-        engine = make_engine("mmjoin", config=config)
-        assert engine.two_path(left, right) == expected
 
     @settings(**DIFF_SETTINGS)
     @given(pair=relation_pairs(max_size=80))
     def test_counts_identical(self, backend, cores, pair):
         left, right = pair
-        expected = hash_join_project_counts(left, right)
+        expected = two_path_counts(left, right)
         config = self._config(backend, cores)
         assert two_path_join_counts(left, right, config=config).counts == expected
 
@@ -192,21 +196,20 @@ class TestTiledExtractionAgrees:
         left, right = pair
         config = self._config(tile_rows)
         assert two_path_join(left, right, config=config).pairs == \
-            combinatorial_two_path(left, right)
+            two_path_pairs(left, right)
         assert two_path_join_counts(left, right, config=config).counts == \
-            hash_join_project_counts(left, right)
+            two_path_counts(left, right)
 
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(rels=relation_lists(max_size=50))
     def test_star_identical(self, tile_rows, rels):
-        engine = make_engine("mmjoin", config=self._config(tile_rows))
-        assert engine.star(rels) == combinatorial_star(rels)
+        assert star_join(rels, config=self._config(tile_rows)).pairs == star_pairs(rels)
 
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(rows=skewed_pair_lists(max_size=100))
     def test_sharded_with_tiling(self, tile_rows, rows):
         skewed = Relation.from_pairs(rows, name="L")
-        expected = combinatorial_two_path(skewed, skewed)
+        expected = two_path_pairs(skewed, skewed)
         with QuerySession(config=self._config(tile_rows), shards=3) as session:
             session.register(skewed, name="L", sharded=True)
             cold = session.two_path("L", "L", use_memo=False)
@@ -238,15 +241,15 @@ class TestExtractModeAgrees:
         left, right = pair
         config = self._config(extract_mode)
         assert two_path_join(left, right, config=config).pairs == \
-            combinatorial_two_path(left, right)
+            two_path_pairs(left, right)
         assert two_path_join_counts(left, right, config=config).counts == \
-            hash_join_project_counts(left, right)
+            two_path_counts(left, right)
 
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(pair=relation_pairs(max_size=60))
     def test_modes_per_backend(self, extract_mode, pair):
         left, right = pair
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         for backend in ALL_BACKENDS:
             config = self._config(extract_mode, matrix_backend=backend)
             assert two_path_join(left, right, config=config).pairs == \
@@ -255,14 +258,14 @@ class TestExtractModeAgrees:
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(rels=relation_lists(max_size=50))
     def test_star_identical(self, extract_mode, rels):
-        engine = make_engine("mmjoin", config=self._config(extract_mode))
-        assert engine.star(rels) == combinatorial_star(rels)
+        assert star_join(rels, config=self._config(extract_mode)).pairs == \
+            star_pairs(rels)
 
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(rows=skewed_pair_lists(max_size=100))
     def test_sharded_with_extract_mode(self, extract_mode, rows):
         skewed = Relation.from_pairs(rows, name="L")
-        expected = combinatorial_two_path(skewed, skewed)
+        expected = two_path_pairs(skewed, skewed)
         with QuerySession(config=self._config(extract_mode), shards=3) as session:
             session.register(skewed, name="L", sharded=True)
             cold = session.two_path("L", "L", use_memo=False)
@@ -279,7 +282,7 @@ class TestSessionAgreesWithCold:
     @given(pair=relation_pairs(max_size=80))
     def test_memoized_and_warm_match_cold(self, pair):
         left, right = pair
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2)) as session:
             session.register(left, name="L")
             session.register(right, name="R")
@@ -296,7 +299,7 @@ class TestSessionAgreesWithCold:
     @given(pair=relation_pairs(max_size=80))
     def test_counting_session_matches_cold(self, pair):
         left, right = pair
-        expected = hash_join_project_counts(left, right)
+        expected = two_path_counts(left, right)
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2)) as session:
             session.register(left, name="L")
             session.register(right, name="R")
@@ -308,7 +311,7 @@ class TestSessionAgreesWithCold:
     @settings(**DIFF_SETTINGS)
     @given(rels=relation_lists(max_size=50))
     def test_star_session_matches_cold(self, rels):
-        expected = combinatorial_star(rels)
+        expected = star_pairs(rels)
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2)) as session:
             names = [session.register(rel, name=f"R{i}") for i, rel in enumerate(rels)]
             cold = session.star(names)
@@ -324,8 +327,8 @@ class TestSessionAgreesWithCold:
         import asyncio
 
         left, right = pair
-        expected_pairs = combinatorial_two_path(left, right)
-        expected_counts = hash_join_project_counts(left, right)
+        expected_pairs = two_path_pairs(left, right)
+        expected_counts = two_path_counts(left, right)
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2)) as session:
             queries = [
                 TwoPathQuery(left=left, right=right),
@@ -335,7 +338,7 @@ class TestSessionAgreesWithCold:
             batch = session.submit_batch(queries)
             assert batch[0].pairs == expected_pairs
             assert batch[1].counts == expected_counts
-            assert batch[2].pairs == combinatorial_star([left, right])
+            assert batch[2].pairs == star_pairs([left, right])
             async_result = asyncio.run(
                 session.asubmit(TwoPathQuery(left=left, right=right))
             )
@@ -363,15 +366,15 @@ class TestSessionAgreesWithCold:
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2)) as session:
             session.register(left, name="L")
             session.register(right, name="R")
-            assert session.two_path("L", "R").pairs == combinatorial_two_path(left, right)
+            assert session.two_path("L", "R").pairs == two_path_pairs(left, right)
             session.update("L", right)  # replace L's data with R's
             fresh = session.two_path("L", "R")
             assert not fresh.from_memo
-            assert fresh.pairs == combinatorial_two_path(right, right)
+            assert fresh.pairs == two_path_pairs(right, right)
 
 
 # --------------------------------------------------------------------------- #
-# Sharded vs unsharded: engines x backends x shard counts x session states
+# Sharded vs unsharded: backends x shard counts x session states
 # --------------------------------------------------------------------------- #
 def _sharded_session(left, right, shards, config=None):
     session = QuerySession(
@@ -400,7 +403,7 @@ class TestShardedAgreesWithUnsharded:
     @given(pair=relation_pairs(max_size=80))
     def test_two_path_cold_warm_memo(self, shards, pair):
         left, right = pair
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         with _sharded_session(left, right, shards) as session:
             cold = session.two_path("L", "R", use_memo=False)
             warm = session.two_path("L", "R", use_memo=False)
@@ -415,18 +418,18 @@ class TestShardedAgreesWithUnsharded:
     def test_heavy_hitter_two_path_across_engines(self, shards, rows):
         """The adversarial case for shard placement: hot witnesses."""
         skewed = Relation.from_pairs(rows, name="L")
-        expected = combinatorial_two_path(skewed, skewed)
+        expected = two_path_pairs(skewed, skewed)
         with _sharded_session(skewed, skewed, shards) as session:
             sharded = session.two_path("L", "L", use_memo=False)
         assert sharded.pairs == expected
-        for name in ALL_ENGINES:
-            assert make_engine(name).two_path(skewed, skewed) == sharded.pairs, name
+        for name, engine in TWO_PATH_ENGINES.items():
+            assert engine(skewed, skewed).to_set() == expected, name
 
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(pair=relation_pairs(max_size=60))
     def test_counts_per_backend(self, shards, pair):
         left, right = pair
-        expected = hash_join_project_counts(left, right)
+        expected = two_path_counts(left, right)
         for backend in ALL_BACKENDS:
             config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
             with _sharded_session(left, right, shards, config=config) as session:
@@ -441,15 +444,15 @@ class TestShardedAgreesWithUnsharded:
         left, right = pair
         with _sharded_session(left, right, shards) as session:
             warm_before = session.two_path("L", "R", use_memo=False)
-            assert warm_before.pairs == combinatorial_two_path(left, right)
+            assert warm_before.pairs == two_path_pairs(left, right)
             if not _mutate_one_shard(session, "L"):
                 return  # empty input: nothing to mutate
             mutated = session.relation("L")
             after = session.two_path("L", "R", use_memo=False)
             counted = session.two_path("L", "R", counting=True, use_memo=False)
-        expected = combinatorial_two_path(mutated, right)
+        expected = two_path_pairs(mutated, right)
         assert after.pairs == expected
-        assert counted.counts == hash_join_project_counts(mutated, right)
+        assert counted.counts == two_path_counts(mutated, right)
         # a cold unsharded session over the mutated data agrees
         assert two_path_join(mutated, right,
                              config=MMJoinConfig(delta1=2, delta2=2)).pairs == expected
@@ -457,7 +460,7 @@ class TestShardedAgreesWithUnsharded:
     @settings(max_examples=4, deadline=None, derandomize=True)
     @given(rels=relation_lists(max_size=50))
     def test_star_sharded(self, shards, rels):
-        expected = combinatorial_star(rels)
+        expected = star_pairs(rels)
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2),
                           shards=shards) as session:
             names = [
@@ -486,7 +489,7 @@ class TestShardedAgreesWithUnsharded:
     @settings(max_examples=3, deadline=None, derandomize=True)
     @given(rel=relations(max_size=80))
     def test_parallel_fanout_agrees(self, shards, rel):
-        expected = combinatorial_two_path(rel, rel)
+        expected = two_path_pairs(rel, rel)
         config = MMJoinConfig(delta1=2, delta2=2, cores=2)
         with QuerySession(config=config, shards=shards) as session:
             session.register(rel, name="L", sharded=True)
@@ -510,8 +513,8 @@ class TestTelemetryAgrees:
     @given(pair=relation_pairs(max_size=80))
     def test_session_paths_identical(self, telemetry, pair):
         left, right = pair
-        expected = combinatorial_two_path(left, right)
-        expected_counts = hash_join_project_counts(left, right)
+        expected = two_path_pairs(left, right)
+        expected_counts = two_path_counts(left, right)
         with QuerySession(config=MMJoinConfig(delta1=2, delta2=2),
                           telemetry=telemetry) as session:
             session.register(left, name="L")
@@ -536,24 +539,13 @@ class TestTelemetryAgrees:
             session.two_path("L", "L", use_memo=False)
             session.append("L", [(97, 3), (98, 4)])
             served = session.two_path("L", "L", use_memo=False)
-        oracle = _rel_from_rows(
-            set(map(tuple, np.asarray(skewed.data).tolist())) | {(97, 3), (98, 4)},
-            "L",
-        )
-        assert served.pairs == combinatorial_two_path(oracle, oracle)
+        rows = set(map(tuple, np.asarray(skewed.data).tolist())) | {(97, 3), (98, 4)}
+        assert served.pairs == two_path_pairs(rows, rows)
 
 
 # --------------------------------------------------------------------------- #
 # Mixed writes: interleaved append / delete / update_shard vs recompute
 # --------------------------------------------------------------------------- #
-def _rel_from_rows(rows, name):
-    if rows:
-        data = np.array(sorted(rows), dtype=np.int64).reshape(-1, 2)
-    else:
-        data = np.empty((0, 2), dtype=np.int64)
-    return Relation(data, name=name)
-
-
 @pytest.mark.parametrize("shards", (1, 3))
 @pytest.mark.parametrize("warm", (False, True), ids=("cold", "warm"))
 class TestMixedWritesMatchOracle:
@@ -562,7 +554,7 @@ class TestMixedWritesMatchOracle:
     Every step applies one write (append with fresh rows, idempotent delete
     including absent rows, or an ``update_shard`` replacement) to the
     session *and* to a plain Python row set; the sharded session must agree
-    with a cold recompute over the oracle rows after each write (warm axis:
+    with the oracle over that row set after each write (warm axis:
     reads interleave with writes, so the merged-result patch and the cached
     fallbacks are both exercised) or after the full sequence (cold axis).
     A tiny lazy-merge threshold makes the sequence cross buffered *and*
@@ -603,15 +595,12 @@ class TestMixedWritesMatchOracle:
                     session.update_shard("L", target, kept)
                     rows = (rows - shard_rows) | set(map(tuple, kept.tolist()))
                 if warm:
-                    oracle = _rel_from_rows(rows, "L")
                     served = session.two_path("L", "R", use_memo=False)
-                    assert served.pairs == combinatorial_two_path(oracle, right), \
-                        (op, step)
-            oracle = _rel_from_rows(rows, "L")
+                    assert served.pairs == two_path_pairs(rows, right), (op, step)
             final = session.two_path("L", "R", use_memo=False)
             counted = session.two_path("L", "R", counting=True, use_memo=False)
-        assert final.pairs == combinatorial_two_path(oracle, right)
-        assert counted.counts == hash_join_project_counts(oracle, right)
+        assert final.pairs == two_path_pairs(rows, right)
+        assert counted.counts == two_path_counts(rows, right)
 
 
 # --------------------------------------------------------------------------- #
@@ -619,7 +608,7 @@ class TestMixedWritesMatchOracle:
 # --------------------------------------------------------------------------- #
 @pytest.mark.parametrize("ruleset", sorted(_FAULT_RULESETS))
 class TestChaosAgreesWithOracle:
-    """Seeded fault injection against the fault-free combinatorial oracle.
+    """Seeded fault injection against the independent oracle.
 
     Each plan is constructed per example (counts re-arm), injected for the
     serve only, and the served pair set must equal the oracle exactly —
@@ -631,7 +620,7 @@ class TestChaosAgreesWithOracle:
     @given(rows=skewed_pair_lists(max_size=100))
     def test_sharded_query_survives_faults(self, ruleset, rows):
         skewed = Relation.from_pairs(rows, name="L")
-        expected = combinatorial_two_path(skewed, skewed)
+        expected = two_path_pairs(skewed, skewed)
         plan = FaultPlan(_FAULT_RULESETS[ruleset], seed=11)
         config = MMJoinConfig(delta1=2, delta2=2, cores=2)
         with QuerySession(config=config, shards=3,
@@ -656,9 +645,5 @@ class TestChaosAgreesWithOracle:
             with inject(plan):
                 session.append("L", [(91, 5), (92, 6)])
                 served = session.two_path("L", "L", use_memo=False)
-        oracle = _rel_from_rows(
-            set(map(tuple, np.asarray(skewed.data).tolist()))
-            | {(91, 5), (92, 6)},
-            "L",
-        )
-        assert served.pairs == combinatorial_two_path(oracle, oracle)
+        rows = set(map(tuple, np.asarray(skewed.data).tolist())) | {(91, 5), (92, 6)}
+        assert served.pairs == two_path_pairs(rows, rows)

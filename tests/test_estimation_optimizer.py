@@ -3,6 +3,7 @@
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
+from oracle import star_pairs, two_path_counts, two_path_pairs
 from strategies import random_relation, relations, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
@@ -23,19 +24,17 @@ from repro.data import generators
 from repro.data.indexes import DegreeStatistics
 from repro.data.relation import Relation
 from repro.matmul.cost_model import MatMulCostModel
-from repro.joins.hash_join import hash_join_count, hash_join_project
 
 
 class TestEstimation:
     def test_exact_full_join_size(self, tiny_relation, tiny_relation_s):
-        assert exact_full_join_size(tiny_relation, tiny_relation_s) == hash_join_count(
-            tiny_relation, tiny_relation_s
-        )
+        witnesses = two_path_counts(tiny_relation, tiny_relation_s)
+        assert exact_full_join_size(tiny_relation, tiny_relation_s) == sum(witnesses.values())
 
     def test_bounds_contain_true_output(self, skewed_pair):
         left, right = skewed_pair
         est = estimate_output_size(left, right)
-        truth = len(hash_join_project(left, right))
+        truth = len(two_path_pairs(left, right))
         assert est.lower_bound <= truth <= est.upper_bound
 
     def test_estimate_within_bounds(self, skewed_pair):
@@ -59,11 +58,9 @@ class TestEstimation:
         assert est.full_join_size > 5 * len(community_relation)
 
     def test_star_estimate_bounds(self, tiny_relation, tiny_relation_s):
-        from repro.joins.baseline import combinatorial_star
-
         relations = [tiny_relation, tiny_relation_s, tiny_relation]
         est = estimate_star_output_size(relations)
-        truth = len(combinatorial_star(relations))
+        truth = len(star_pairs(relations))
         assert est.lower_bound <= truth <= max(est.upper_bound, est.lower_bound)
 
     def test_star_estimate_empty(self):

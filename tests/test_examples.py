@@ -1,7 +1,7 @@
 """Smoke test: the example scripts run to completion against the current API.
 
-Each example asserts its own results (e.g. MMJoin against the full-join
-plan), so a zero exit status means the API they use still works end to end.
+Each example asserts its own results (e.g. MMJoin against the Non-MMJoin
+baseline), so a zero exit status means the API they use still works end to end.
 """
 
 import subprocess

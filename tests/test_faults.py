@@ -14,6 +14,7 @@ import time
 import numpy as np
 import pytest
 
+from oracle import two_path_pairs
 from repro.core.config import DEFAULT_CONFIG, MMJoinConfig
 from repro.data.relation import Relation
 from repro.errors import (
@@ -43,7 +44,6 @@ from repro.faults import (
     inject,
     run_with_retry,
 )
-from repro.joins.baseline import combinatorial_two_path
 from repro.parallel.executor import ParallelExecutor
 from repro.plan.query import TwoPathQuery
 from repro.serve import QuerySession
@@ -343,7 +343,7 @@ class TestExecutorResilience:
 @pytest.fixture(scope="module")
 def oracle_pairs():
     rel = _relation()
-    return combinatorial_two_path(rel, rel)
+    return two_path_pairs(rel, rel)
 
 
 class TestSessionFaultTolerance:

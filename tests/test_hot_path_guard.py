@@ -16,9 +16,11 @@ import inspect
 
 import numpy as np
 import pytest
+from oracle import star_pairs, two_path_counts, two_path_pairs
 from test_scaling_guard import dense_rows, sparse_rows
 
 from repro.cli import _serve_command
+from repro.core.bsi import BooleanSetIntersection
 from repro.core.config import MMJoinConfig
 from repro.core.star import star_join
 from repro.core.two_path import two_path_join, two_path_join_counts
@@ -26,11 +28,9 @@ from repro.data.pairblock import CountedPairBlock, PairBlock
 from repro.data.relation import Relation
 from repro.data.setfamily import SetFamily
 from repro.joins.baseline import (
-    combinatorial_star,
     combinatorial_star_block,
     combinatorial_two_path_block,
 )
-from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 from repro.serve import QuerySession
 from repro.setops.scj import scj_bruteforce
 from repro.setops.ssj import ssj_bruteforce
@@ -107,7 +107,7 @@ def test_cold_two_path_sorts_keys_only(forbidden_sorts, forbidden_reflection,
     assert 1 <= dedup_calls["pairs"] <= max_dedups, dedup_calls
     assert dedup_calls["counted"] == 0, dedup_calls
     assert result.result_block.layout is None  # decoded inside the pipeline
-    assert result.pairs == hash_join_project(relation, relation)
+    assert result.pairs == two_path_pairs(relation, relation)
 
 
 def test_cold_similarity_sorts_keys_only(forbidden_sorts, dedup_calls):
@@ -167,6 +167,19 @@ def test_one_shot_joins_stay_columnar(forbidden_views):
     assert pairs.strategy == counted.strategy == star.strategy == "mmjoin"
     assert pairs.result_block == baseline and star.result_block == baseline_star
     forbidden_views()  # the caller's reads are allowed to materialise
-    assert pairs.pairs == hash_join_project(relation, relation)
-    assert counted.counts == hash_join_project_counts(relation, relation)
-    assert star.pairs == combinatorial_star(star_input)
+    assert pairs.pairs == two_path_pairs(relation, relation)
+    assert counted.counts == two_path_counts(relation, relation)
+    assert star.pairs == star_pairs(star_input)
+
+
+def test_bsi_batch_answers_from_the_block(forbidden_views):
+    relation = Relation(dense_rows(1), name="R")
+    heads = relation.x_values()
+    rng = np.random.default_rng(5)
+    batch = [(int(a), int(b)) for a, b in rng.choice(heads, size=(200, 2))]
+    batch.append((10**9, int(heads[0])))  # an absent set is a negative answer
+    result = BooleanSetIntersection(relation, relation).answer_batch(batch)
+    forbidden_views()  # the caller's reads are allowed to materialise
+    expected = two_path_pairs(relation, relation)
+    assert result.answers == {pair: pair in expected for pair in batch}
+    assert 0 < sum(result.answers.values()) < len(result.answers)

@@ -4,6 +4,7 @@ import doctest
 
 import pytest
 
+from oracle import star_pairs, two_path_pairs
 from repro import (
     Catalog,
     MMJoinConfig,
@@ -17,8 +18,7 @@ from repro import (
 from repro.bench.datasets import bench_dataset, bench_family
 from repro.core.bsi import BSIBatchScheduler
 from repro.data import generators
-from repro.engines.registry import make_engine
-from repro.joins.hash_join import hash_join_project
+from repro.joins.baseline import combinatorial_two_path_block
 from repro.setops.ssj import ssj_bruteforce
 
 
@@ -28,7 +28,7 @@ class TestPaperExample1:
     def test_friends_in_common(self):
         graph = generators.example1_instance(4000, num_communities=2, seed=9)
         result = two_path_join(graph, graph)
-        expected = hash_join_project(graph, graph)
+        expected = two_path_pairs(graph, graph)
         assert result.pairs == expected
         # The projection is far smaller than the full join on this instance.
         assert len(result.pairs) < graph.full_join_size(graph)
@@ -45,16 +45,14 @@ class TestDatasetPipelines:
     def test_two_path_on_paper_datasets(self, name):
         relation = bench_dataset(name, scale=0.02)
         result = two_path_join(relation, relation)
-        expected = hash_join_project(relation, relation)
+        expected = two_path_pairs(relation, relation)
         assert result.pairs == expected
 
     def test_star_on_paper_dataset_samples(self):
         base = bench_dataset("words", scale=0.02)
         sample = base.sample_tuples(1500, seed=1)
         relations = [sample, sample.swap().swap(), sample]
-        from repro.joins.baseline import combinatorial_star
-
-        assert star_join(relations).pairs == combinatorial_star(relations)
+        assert star_join(relations).pairs == star_pairs(relations)
 
     def test_catalog_workflow(self):
         catalog = Catalog()
@@ -95,9 +93,9 @@ class TestApplicationsEndToEnd:
 
     def test_engine_comparison_consistency(self):
         relation = bench_dataset("dblp", scale=0.02).sample_tuples(2500, seed=3)
-        reference = make_engine("non-mmjoin").two_path(relation, relation)
-        for name in ("mmjoin", "postgres", "emptyheaded"):
-            assert make_engine(name).two_path(relation, relation) == reference
+        mmjoin = two_path_join(relation, relation)
+        assert mmjoin.result_block == combinatorial_two_path_block(relation, relation)
+        assert mmjoin.pairs == two_path_pairs(relation, relation)
 
 
 class TestPublicAPI:

@@ -14,6 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracle import star_pairs, two_path_counts, two_path_pairs
 from strategies import (
     HUGE_VALUES,
     any_domain_tuples,
@@ -34,16 +35,12 @@ from repro.data.pairblock import (
 )
 from repro.data.relation import Relation
 from repro.joins.baseline import (
-    combinatorial_star,
     combinatorial_star_block,
-    combinatorial_two_path,
     combinatorial_two_path_block,
     combinatorial_two_path_counted,
     probe_pairs_block,
-    star_counted_block,
     star_expansion_block,
 )
-from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 from repro.matmul.registry import make_default_registry
 from repro.parallel.executor import ParallelExecutor
 
@@ -380,17 +377,17 @@ def _relation_from(rows, name):
 class TestPipelineProperties:
     @settings(max_examples=25, deadline=None)
     @given(left=pair_lists(max_size=150), right=pair_lists(max_size=150))
-    def test_probe_expansion_matches_hash_join(self, left, right):
+    def test_probe_expansion_matches_oracle(self, left, right):
         rel_l, rel_r = _relation_from(left, "R"), _relation_from(right, "S")
         block = probe_pairs_block(rel_l.xs, rel_l.ys, rel_r).dedup()
-        assert block.to_set() == hash_join_project(rel_l, rel_r)
+        assert block.to_set() == two_path_pairs(left, right)
 
     @settings(max_examples=25, deadline=None)
     @given(left=pair_lists(max_size=150), right=pair_lists(max_size=150))
-    def test_combinatorial_matches_hash_join_counts(self, left, right):
+    def test_combinatorial_matches_oracle_counts(self, left, right):
         rel_l, rel_r = _relation_from(left, "R"), _relation_from(right, "S")
-        assert combinatorial_two_path(rel_l, rel_r, with_counts=True) == (
-            hash_join_project_counts(rel_l, rel_r)
+        assert combinatorial_two_path_counted(rel_l, rel_r).to_dict() == (
+            two_path_counts(left, right)
         )
 
     @settings(max_examples=20, deadline=None)
@@ -409,12 +406,9 @@ class TestPipelineProperties:
     @given(a=pair_lists(max_size=80), b=pair_lists(max_size=80), c=pair_lists(max_size=80))
     def test_chunked_star_matches_reference(self, a, b, c):
         rels = [_relation_from(rows, f"R{i}") for i, rows in enumerate((a, b, c))]
-        expected = combinatorial_star(rels)
-        assert star_expansion_block(rels, chunk_rows=5).dedup() == expected
-        assert combinatorial_star_block(rels) == expected
-        assert star_counted_block(rels, chunk_rows=5) == (
-            combinatorial_star(rels, with_counts=True)
-        )
+        expected = star_pairs((a, b, c))
+        assert star_expansion_block(rels, chunk_rows=5).dedup().to_set() == expected
+        assert combinatorial_star_block(rels).to_set() == expected
 
     def test_probe_slices_respect_cap(self):
         """Chunks stay under the expansion cap (single probes may exceed it)."""
@@ -433,8 +427,8 @@ class TestPipelineProperties:
     def test_all_backends_agree_end_to_end(self, left, right):
         """The columnar pipeline matches set semantics for every backend."""
         rel_l, rel_r = _relation_from(left, "R"), _relation_from(right, "S")
-        expected_pairs = hash_join_project(rel_l, rel_r)
-        expected_counts = hash_join_project_counts(rel_l, rel_r)
+        expected_pairs = two_path_pairs(left, right)
+        expected_counts = two_path_counts(left, right)
         for backend in make_default_registry().names():
             config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
             assert two_path_join(rel_l, rel_r, config=config).pairs == expected_pairs

@@ -3,9 +3,9 @@
 import numpy as np
 import pytest
 
+from oracle import two_path_pairs
 from repro.core.config import MMJoinConfig
 from repro.core.two_path import two_path_join
-from repro.joins.hash_join import hash_join_project
 from repro.parallel.executor import ParallelExecutor, parallel_matmul
 from repro.parallel.workmodel import (
     ALGORITHM_PARALLEL_FRACTIONS,
@@ -60,7 +60,7 @@ class TestParallelTwoPath:
     @pytest.mark.parametrize("cores", [1, 2, 4])
     def test_matches_baseline(self, skewed_pair, cores):
         left, right = skewed_pair
-        expected = hash_join_project(left, right)
+        expected = two_path_pairs(left, right)
         config = MMJoinConfig().with_thresholds(3, 3).with_cores(cores)
         result = two_path_join(left, right, config=config)
         assert result.pairs == expected

@@ -2,14 +2,12 @@
 
 import pytest
 
+from oracle import star_pairs, two_path_counts, two_path_pairs
 from repro.bench.runner import time_call
 from repro.core.config import MMJoinConfig
 from repro.core.star import star_join
 from repro.core.two_path import two_path_join
 from repro.data.setfamily import SetFamily
-from repro.engines.registry import make_engine
-from repro.joins.baseline import combinatorial_star
-from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 from repro.plan.planner import Planner
 from repro.plan.query import (
     ContainmentJoinQuery,
@@ -57,18 +55,18 @@ class TestPlanExecution:
     def test_two_path_matches_baseline(self, skewed_pair):
         left, right = skewed_pair
         plan = Planner().execute(TwoPathQuery(left=left, right=right))
-        assert plan.state.result_block.to_set() == hash_join_project(left, right)
+        assert plan.state.result_block.to_set() == two_path_pairs(left, right)
 
     def test_counting_matches_baseline(self, skewed_pair):
         left, right = skewed_pair
         plan = Planner().execute(TwoPathQuery(left=left, right=right, counting=True))
-        assert plan.state.result_counted.to_dict() == hash_join_project_counts(left, right)
+        assert plan.state.result_counted.to_dict() == two_path_counts(left, right)
 
     def test_star_matches_baseline(self, tiny_relation, tiny_relation_s):
         relations = [tiny_relation, tiny_relation_s, tiny_relation]
         config = MMJoinConfig(delta1=2, delta2=2)
         plan = Planner(config=config).execute(StarQuery(relations))
-        assert plan.state.result_block.to_set() == combinatorial_star(relations)
+        assert plan.state.result_block.to_set() == star_pairs(relations)
 
     def test_forced_mmjoin_runs_every_operator(self, skewed_pair):
         left, right = skewed_pair
@@ -135,26 +133,14 @@ class TestExplain:
 
 
 class TestDetailsPlumbing:
-    def test_engine_result_carries_plan_details(self, skewed_pair):
-        left, right = skewed_pair
-        engine = make_engine("mmjoin")
-        result = engine.run_two_path(left, right)
-        assert result.details["strategy"] in ("wcoj", "mmjoin")
-        assert "backend" in result.details
-        operators = result.details["operators"]
-        assert [op["operator"] for op in operators] == OPERATOR_NAMES
-        assert "op.matmul_heavy.seconds" in result.details
-
-    def test_non_planner_engine_details_empty(self, tiny_relation, tiny_relation_s):
-        engine = make_engine("postgres")
-        result = engine.run_two_path(tiny_relation, tiny_relation_s)
-        assert result.details == {}
-
     def test_bench_measurement_carries_details(self, skewed_pair):
         left, right = skewed_pair
         measurement = time_call(two_path_join, left, right, repeats=1)
         assert measurement.details["strategy"] in ("wcoj", "mmjoin")
-        assert any(op["operator"] == "matmul_heavy" for op in measurement.details["operators"])
+        assert "backend" in measurement.details
+        operators = measurement.details["operators"]
+        assert [op["operator"] for op in operators] == OPERATOR_NAMES
+        assert "op.matmul_heavy.seconds" in measurement.details
 
 
 class TestLegacyTimings:

@@ -7,12 +7,12 @@ every backend in the registry and for the optimizer-driven auto path.
 """
 
 import pytest
+from oracle import star_pairs, two_path_counts, two_path_pairs
 from strategies import random_relation
 
 from repro.core.config import MMJoinConfig
 from repro.core.star import star_join
 from repro.core.two_path import two_path_join, two_path_join_counts
-from repro.joins.baseline import combinatorial_star, combinatorial_two_path
 from repro.matmul.registry import make_default_registry
 
 ALL_BACKENDS = make_default_registry().names()
@@ -25,7 +25,7 @@ class TestTwoPathProperty:
     def test_pairs_equal_combinatorial(self, seed, backend):
         left = random_relation(seed, name="R")
         right = random_relation(seed + 1000, name="S")
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         # delta1 = delta2 = 1 forces as much work as possible onto the
         # matrix path, exercising the chosen backend.
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
@@ -36,7 +36,7 @@ class TestTwoPathProperty:
     def test_counts_equal_combinatorial(self, seed, backend):
         left = random_relation(seed, name="R")
         right = random_relation(seed + 2000, name="S")
-        expected = combinatorial_two_path(left, right, with_counts=True)
+        expected = two_path_counts(left, right)
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
         result = two_path_join_counts(left, right, config=config)
         assert result.counts == expected
@@ -51,7 +51,7 @@ class TestStarProperty:
                             name=f"R{offset}")
             for offset in (0, 100, 200)
         ]
-        expected = combinatorial_star(relations)
+        expected = star_pairs(relations)
         config = MMJoinConfig(delta1=1, delta2=1, matrix_backend=backend)
         result = star_join(relations, config=config)
         assert result.pairs == expected
@@ -62,4 +62,4 @@ def test_auto_path_with_optimizer(seed):
     """The optimizer-driven auto path agrees with the baseline too."""
     left = random_relation(seed, n_pairs=400, x_domain=40, y_domain=25, name="R")
     right = random_relation(seed + 3000, n_pairs=400, x_domain=40, y_domain=25, name="S")
-    assert two_path_join(left, right).pairs == combinatorial_two_path(left, right)
+    assert two_path_join(left, right).pairs == two_path_pairs(left, right)

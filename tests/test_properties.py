@@ -5,12 +5,12 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from oracle import two_path_counts, two_path_pairs
 from repro.core.config import MMJoinConfig
 from repro.core.two_path import two_path_join, two_path_join_counts
 from repro.data.relation import Relation
 from repro.data.setfamily import SetFamily
-from repro.joins.baseline import combinatorial_two_path
-from repro.joins.hash_join import hash_join_project, hash_join_project_counts
+from repro.joins.baseline import combinatorial_two_path_block
 from repro.joins.leapfrog import intersect_sorted, leapfrog_intersection
 from repro.setops.ssj import ssj_bruteforce, ssj_mmjoin
 
@@ -86,19 +86,19 @@ class TestJoinProperties:
     def test_mmjoin_equals_full_join_project(self, data):
         left = Relation.from_pairs(data[0], name="R")
         right = Relation.from_pairs(data[1], name="S")
-        expected = hash_join_project(left, right)
+        expected = two_path_pairs(left, right)
         assert two_path_join(left, right).pairs == expected
         assert two_path_join(
             left, right, config=MMJoinConfig(delta1=2, delta2=2)
         ).pairs == expected
-        assert combinatorial_two_path(left, right) == expected
+        assert combinatorial_two_path_block(left, right).to_set() == expected
 
     @given(data=two_relations)
     @SETTINGS
     def test_mmjoin_counts_equal_witness_counts(self, data):
         left = Relation.from_pairs(data[0], name="R")
         right = Relation.from_pairs(data[1], name="S")
-        expected = hash_join_project_counts(left, right)
+        expected = two_path_counts(left, right)
         result = two_path_join_counts(
             left, right, config=MMJoinConfig(delta1=1, delta2=1)
         )

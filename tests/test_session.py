@@ -13,11 +13,11 @@ import gc
 import weakref
 
 import pytest
+from oracle import two_path_pairs
 from strategies import random_relation, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
 from repro.data.relation import Relation
-from repro.joins.baseline import combinatorial_two_path
 from repro.matmul.cost_model import MatMulCostModel
 from repro.plan.query import TwoPathQuery
 from repro.serve import ArtifactCache, QuerySession
@@ -143,7 +143,7 @@ class TestQuerySession:
             assert session.artifacts.stats()["invalidations"] > 0
             result = session.two_path("R", "S")
             assert not result.from_memo
-            assert result.pairs == combinatorial_two_path(replacement, right)
+            assert result.pairs == two_path_pairs(replacement, right)
 
     def test_remove_unregisters(self, session_inputs):
         left, _ = session_inputs
@@ -286,7 +286,7 @@ class TestSemijoinPassThrough:
             assert session.context.token_for(left) == token
             # Nothing was copied, so nothing is charged to the artifact cache.
             assert session.artifacts.current_bytes == 0
-        assert result.pairs == combinatorial_two_path(left, left)
+        assert result.pairs == two_path_pairs(left, left)
 
     def test_non_dangling_pair_gets_its_inputs_back(self):
         left, same, _ = _sparse_pair()
@@ -299,7 +299,7 @@ class TestSemijoinPassThrough:
             assert reduced[0] is left and reduced[1] is same
             assert session.context.tokens_for([left, same]) == tokens
             assert session.artifacts.current_bytes == 0
-        assert result.pairs == combinatorial_two_path(left, same)
+        assert result.pairs == two_path_pairs(left, same)
 
     def test_dangling_pair_gets_reduced_copies(self):
         left, _, dangling = _sparse_pair()
@@ -313,7 +313,7 @@ class TestSemijoinPassThrough:
             assert all(session.context.token_for(rel)[0] == "drv" for rel in reduced)
             assert session.context.token_for(left) == ("rel", "R", 0)
             assert session.artifacts.current_bytes == sum(r.data.nbytes for r in reduced)
-        assert result.pairs == combinatorial_two_path(left, dangling)
+        assert result.pairs == two_path_pairs(left, dangling)
 
     def test_warm_repeat_hits_the_semijoin_cache(self):
         left, same, _ = _sparse_pair()
@@ -343,7 +343,7 @@ class TestSemijoinPassThrough:
             result = session.two_path("R")
             assert not result.from_memo
             assert _semijoin_output(session, [current, current])[0] is current
-        assert result.pairs == combinatorial_two_path(current, current)
+        assert result.pairs == two_path_pairs(current, current)
 
 
 # --------------------------------------------------------------------------- #
@@ -362,7 +362,7 @@ class TestBatchAndAsync:
             ]
             results = session.submit_batch(queries)
             assert len(results) == 3
-            expected = combinatorial_two_path(left, right)
+            expected = two_path_pairs(left, right)
             assert results[0].pairs == expected
             assert results[2].pairs == expected
             assert set(results[1].counts) == expected
@@ -393,7 +393,7 @@ class TestBatchAndAsync:
             session.register(right)
             queries = [TwoPathQuery(left=left, right=right)] * 4
             results = session.submit_batch(queries, use_memo=False)
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         assert all(r.pairs == expected for r in results)
 
     def test_anonymous_registrations_are_bounded(self):
@@ -418,6 +418,6 @@ class TestBatchAndAsync:
                 return first, second
 
         first, second = asyncio.run(serve())
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         assert first.pairs == expected
         assert set(second.counts) == expected

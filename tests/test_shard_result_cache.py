@@ -10,12 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import two_path_counts, two_path_pairs
 from strategies import random_relation, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
 from repro.data.relation import Relation
-from repro.joins.baseline import combinatorial_two_path
-from repro.joins.hash_join import hash_join_project_counts
 from repro.plan.planner import Planner
 from repro.plan.query import TwoPathQuery
 from repro.serve import QuerySession
@@ -46,7 +45,7 @@ class TestResultCacheServing:
     def test_warm_query_serves_all_shards_from_cache(self):
         left = skewed_random_relation(41, n_pairs=400, x_domain=50, y_domain=30, name="R")
         right = skewed_random_relation(42, n_pairs=400, x_domain=50, y_domain=30, name="S")
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         with _session(left, right) as session:
             cold = session.two_path("R", "S", use_memo=False)
             assert cold.pairs == expected
@@ -77,7 +76,7 @@ class TestResultCacheServing:
         """``context=None``: nothing is keyable, every subquery re-evaluates."""
         left = random_relation(43, n_pairs=300, x_domain=40, y_domain=25, name="R")
         right = random_relation(44, n_pairs=300, x_domain=40, y_domain=25, name="S")
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         spec = ShardingSpec(4)
         containers = {
             id(rel): (rel.name, ShardedRelation.partition(rel, spec, name=rel.name))
@@ -99,7 +98,7 @@ class TestResultCacheServing:
     def test_counting_mode_counts_survive_caching(self):
         left = skewed_random_relation(45, n_pairs=350, x_domain=40, y_domain=24, name="R")
         right = skewed_random_relation(46, n_pairs=350, x_domain=40, y_domain=24, name="S")
-        expected = hash_join_project_counts(left, right)
+        expected = two_path_counts(left, right)
         with _session(left, right) as session:
             assert session.two_path("R", "S", counting=True,
                                     use_memo=False).counts == expected
@@ -125,7 +124,7 @@ class TestResultCacheInvalidation:
                 if shard != target:
                     assert row["result_cached"] or row["strategy"] in (
                         "heavy_direct", "heavy_skipped"), (shard, row)
-            assert result.pairs == combinatorial_two_path(
+            assert result.pairs == two_path_pairs(
                 session.relation("R"), right
             )
 
@@ -140,13 +139,13 @@ class TestResultCacheInvalidation:
             fresh = session.two_path("R", "S", use_memo=False)
             assert not any(row["result_cached"]
                            for row in fresh.explanation.shard_reports)
-            assert fresh.pairs == combinatorial_two_path(replacement, right)
+            assert fresh.pairs == two_path_pairs(replacement, right)
 
 
 class TestHeavyShardSkipping:
     def test_saturated_core_collapses_to_one_rectangle(self):
         rel = _saturated_core()
-        expected = combinatorial_two_path(rel, rel)
+        expected = two_path_pairs(rel, rel)
         with _session(rel, rel, heavy_key_factor=0.1) as session:
             spec = session.sharding_spec
             assert spec.num_heavy >= 2, "workload must isolate heavy keys"
@@ -168,13 +167,13 @@ class TestHeavyShardSkipping:
             np.column_stack([xs_b, np.ones_like(xs_b)]),
             np.column_stack([np.arange(25), np.arange(300, 325)]),
         ]), name="R")
-        expected = combinatorial_two_path(rel, rel)
+        expected = two_path_pairs(rel, rel)
         with _session(rel, rel, heavy_key_factor=0.1) as session:
             assert session.sharding_spec.num_heavy >= 2
             for _ in range(3):  # cold, warm, re-warm
                 assert session.two_path("R", "S", use_memo=False).pairs == expected
             counted = session.two_path("R", "S", counting=True, use_memo=False)
-            assert counted.counts == hash_join_project_counts(rel, rel)
+            assert counted.counts == two_path_counts(rel, rel)
 
     def test_counting_mode_never_skips(self):
         """Witness counts add across shards, so nothing may be skipped."""
@@ -184,7 +183,7 @@ class TestHeavyShardSkipping:
             strategies = [row["strategy"] for row in
                           counted.explanation.shard_reports if row["kind"] == "heavy"]
             assert "heavy_skipped" not in strategies
-            assert counted.counts == hash_join_project_counts(rel, rel)
+            assert counted.counts == two_path_counts(rel, rel)
 
 
 class TestLazyCombined:

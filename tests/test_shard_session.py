@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from oracle import star_pairs, two_path_pairs
 from strategies import random_relation, skewed_random_relation
 
 from repro.core.config import MMJoinConfig
 from repro.data.relation import Relation
-from repro.joins.baseline import combinatorial_star, combinatorial_two_path
 from repro.plan.query import StarQuery, TwoPathQuery
 from repro.serve import QuerySession
 
@@ -49,7 +49,7 @@ def _busiest_hash_shard(session, name):
 class TestShardedServing:
     def test_sharded_matches_unsharded(self, sharded_inputs):
         left, right = sharded_inputs
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         with _session(left, right) as session:
             result = session.two_path("R", "S", use_memo=False)
             assert result.strategy == "sharded"
@@ -118,7 +118,7 @@ class TestShardScopedInvalidation:
                     assert row["result_cached"] or row["strategy"] in (
                         "heavy_direct", "heavy_skipped"), (shard, row)
             # the served result reflects the mutation exactly
-            assert result.pairs == combinatorial_two_path(
+            assert result.pairs == two_path_pairs(
                 session.relation("R"), right
             )
             # cumulative counters prove the same through session_stats
@@ -137,7 +137,7 @@ class TestShardScopedInvalidation:
                                  session.sharded("R").shard(target).data[::2])
             fresh = session.two_path("R", "S")
             assert not fresh.from_memo
-            assert fresh.pairs == combinatorial_two_path(session.relation("R"), right)
+            assert fresh.pairs == two_path_pairs(session.relation("R"), right)
 
     def test_update_shard_bumps_version_and_family(self, sharded_inputs):
         left, right = sharded_inputs
@@ -189,7 +189,7 @@ class TestShardScopedInvalidation:
             result = session.two_path("R", "S", use_memo=False)
             for row in result.explanation.shard_reports:
                 assert row["cache_hits"] == 0, row
-            assert result.pairs == combinatorial_two_path(
+            assert result.pairs == two_path_pairs(
                 session.relation("R"), right
             )
 
@@ -201,7 +201,7 @@ class TestShardScopedInvalidation:
             assert "R" in session.shard_stats()["relations"]
             result = session.two_path("R", "S", use_memo=False)
             assert result.strategy == "sharded"
-            assert result.pairs == combinatorial_two_path(replacement, right)
+            assert result.pairs == two_path_pairs(replacement, right)
 
     def test_remove_drops_sharding(self, sharded_inputs):
         left, right = sharded_inputs
@@ -242,7 +242,7 @@ class TestRouterFallbacks:
             session.register(right, name="S")  # unsharded
             result = session.two_path("R", "S", use_memo=False)
             assert result.strategy != "sharded"
-            assert result.pairs == combinatorial_two_path(left, right)
+            assert result.pairs == two_path_pairs(left, right)
             assert session.shard_stats()["router"]["fallbacks"] >= 1
 
     def test_single_shard_session_falls_back(self, sharded_inputs):
@@ -252,7 +252,7 @@ class TestRouterFallbacks:
             session.register(right, name="S", sharded=True)
             result = session.two_path("R", "S", use_memo=False)
             assert result.strategy != "sharded"
-            assert result.pairs == combinatorial_two_path(left, right)
+            assert result.pairs == two_path_pairs(left, right)
 
     def test_adhoc_relation_falls_back(self, sharded_inputs):
         left, right = sharded_inputs
@@ -260,14 +260,14 @@ class TestRouterFallbacks:
         with _session(left, right) as session:
             result = session.evaluate(TwoPathQuery(left=adhoc, right=adhoc))
             assert result.strategy != "sharded"
-            assert result.pairs == combinatorial_two_path(adhoc, adhoc)
+            assert result.pairs == two_path_pairs(adhoc, adhoc)
 
     def test_star_routes_sharded(self, sharded_inputs):
         left, right = sharded_inputs
         with _session(left, right) as session:
             result = session.star(["R", "S", "R"], use_memo=False)
             assert result.strategy == "sharded"
-            assert result.pairs == combinatorial_star([left, right, left])
+            assert result.pairs == star_pairs([left, right, left])
 
 
 class TestShardStatsAndParallel:
@@ -288,7 +288,7 @@ class TestShardStatsAndParallel:
 
     def test_parallel_fanout_matches_serial(self, sharded_inputs):
         left, right = sharded_inputs
-        expected = combinatorial_two_path(left, right)
+        expected = two_path_pairs(left, right)
         parallel_config = MMJoinConfig(delta1=2, delta2=2,
                                        matrix_backend="dense", cores=3)
         with _session(left, right, shards=6, config=parallel_config) as session:
@@ -306,6 +306,6 @@ class TestShardStatsAndParallel:
                 StarQuery([session.relation("R"), session.relation("S")]),
             ]
             results = session.submit_batch(queries, use_memo=False)
-        assert results[0].pairs == combinatorial_two_path(left, right)
-        assert set(results[1].counts) == combinatorial_two_path(left, right)
-        assert results[2].pairs == combinatorial_star([left, right])
+        assert results[0].pairs == two_path_pairs(left, right)
+        assert set(results[1].counts) == two_path_pairs(left, right)
+        assert results[2].pairs == star_pairs([left, right])

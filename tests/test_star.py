@@ -2,11 +2,11 @@
 
 import pytest
 
+from oracle import star_pairs
 from repro.core.config import MMJoinConfig
 from repro.core.star import star_join
 from repro.data import generators
 from repro.data.relation import Relation
-from repro.joins.baseline import combinatorial_star
 
 
 @pytest.fixture
@@ -20,30 +20,30 @@ def star_relations():
 class TestCorrectness:
     def test_two_relation_star_matches_baseline(self, tiny_relation, tiny_relation_s):
         relations = [tiny_relation, tiny_relation_s]
-        expected = combinatorial_star(relations)
+        expected = star_pairs(relations)
         result = star_join(relations, config=MMJoinConfig(delta1=2, delta2=2))
         assert result.pairs == expected
 
     def test_three_relation_star_matches_baseline(self, star_relations):
-        expected = combinatorial_star(star_relations)
+        expected = star_pairs(star_relations)
         result = star_join(star_relations, config=MMJoinConfig(delta1=2, delta2=2))
         assert result.pairs == expected
 
     @pytest.mark.parametrize("delta1,delta2", [(1, 1), (2, 3), (3, 2), (50, 50)])
     def test_any_thresholds(self, tiny_relation, tiny_relation_s, delta1, delta2):
         relations = [tiny_relation, tiny_relation_s, tiny_relation]
-        expected = combinatorial_star(relations)
+        expected = star_pairs(relations)
         result = star_join(relations, config=MMJoinConfig(delta1=delta1, delta2=delta2))
         assert result.pairs == expected
 
     def test_optimizer_choice_still_correct(self, star_relations):
-        expected = combinatorial_star(star_relations)
+        expected = star_pairs(star_relations)
         result = star_join(star_relations)
         assert result.pairs == expected
 
     def test_four_relation_star(self, tiny_relation, tiny_relation_s):
         relations = [tiny_relation, tiny_relation_s, tiny_relation, tiny_relation_s]
-        expected = combinatorial_star(relations)
+        expected = star_pairs(relations)
         result = star_join(relations, config=MMJoinConfig(delta1=1, delta2=1))
         assert result.pairs == expected
 
@@ -65,7 +65,7 @@ class TestCorrectness:
     def test_forced_wcoj(self, star_relations):
         result = star_join(star_relations, config=MMJoinConfig(use_optimizer=False))
         assert result.strategy == "wcoj"
-        assert result.pairs == combinatorial_star(star_relations)
+        assert result.pairs == star_pairs(star_relations)
 
 
 class TestMetadata:

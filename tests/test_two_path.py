@@ -2,35 +2,35 @@
 
 import pytest
 
+from oracle import two_path_counts, two_path_pairs
 from repro.core.config import MMJoinConfig
 from repro.core.two_path import two_path_join, two_path_join_counts
 from repro.data import generators
 from repro.data.relation import Relation
-from repro.joins.hash_join import hash_join_project, hash_join_project_counts
 
 
 class TestCorrectness:
     def test_matches_baseline_default_config(self, skewed_pair):
         left, right = skewed_pair
-        expected = hash_join_project(left, right)
+        expected = two_path_pairs(left, right)
         result = two_path_join(left, right)
         assert result.pairs == expected
 
     @pytest.mark.parametrize("delta1,delta2", [(1, 1), (2, 2), (3, 5), (5, 3), (10, 10), (1000, 1000)])
     def test_matches_baseline_any_thresholds(self, skewed_pair, delta1, delta2):
         left, right = skewed_pair
-        expected = hash_join_project(left, right)
+        expected = two_path_pairs(left, right)
         config = MMJoinConfig(delta1=delta1, delta2=delta2)
         assert two_path_join(left, right, config=config).pairs == expected
 
     def test_self_join(self, tiny_relation):
-        expected = hash_join_project(tiny_relation, tiny_relation)
+        expected = two_path_pairs(tiny_relation, tiny_relation)
         result = two_path_join(tiny_relation, tiny_relation, config=MMJoinConfig(delta1=2, delta2=2))
         assert result.pairs == expected
 
     def test_community_instance(self, community_relation):
         """The Example 1 instance: big full join, small projected output."""
-        expected = hash_join_project(community_relation, community_relation)
+        expected = two_path_pairs(community_relation, community_relation)
         result = two_path_join(community_relation, community_relation)
         assert result.pairs == expected
         # The instance is dense enough that the optimizer should pick mmjoin.
@@ -48,7 +48,7 @@ class TestCorrectness:
     @pytest.mark.parametrize("backend", ["dense", "sparse"])
     def test_backends_agree(self, skewed_pair, backend):
         left, right = skewed_pair
-        expected = hash_join_project(left, right)
+        expected = two_path_pairs(left, right)
         config = MMJoinConfig(delta1=2, delta2=2, matrix_backend=backend)
         result = two_path_join(left, right, config=config)
         assert result.pairs == expected
@@ -59,25 +59,25 @@ class TestCorrectness:
         rel = generators.roadnet_graph(500, seed=3)
         result = two_path_join(rel, rel)
         assert result.strategy == "wcoj"
-        assert result.pairs == hash_join_project(rel, rel)
+        assert result.pairs == two_path_pairs(rel, rel)
 
     def test_forced_wcoj(self, skewed_pair):
         left, right = skewed_pair
         result = two_path_join(left, right, config=MMJoinConfig(use_optimizer=False))
         assert result.strategy == "wcoj"
-        assert result.pairs == hash_join_project(left, right)
+        assert result.pairs == two_path_pairs(left, right)
 
 
 class TestCounting:
     def test_counts_match_bruteforce(self, skewed_pair):
         left, right = skewed_pair
-        expected = hash_join_project_counts(left, right)
+        expected = two_path_counts(left, right)
         result = two_path_join_counts(left, right)
         assert result.counts == expected
 
     @pytest.mark.parametrize("delta1", [1, 2, 4, 50])
     def test_counts_any_threshold(self, tiny_relation, tiny_relation_s, delta1):
-        expected = hash_join_project_counts(tiny_relation, tiny_relation_s)
+        expected = two_path_counts(tiny_relation, tiny_relation_s)
         config = MMJoinConfig(delta1=delta1, delta2=delta1)
         result = two_path_join_counts(tiny_relation, tiny_relation_s, config=config)
         assert result.counts == expected

@@ -22,12 +22,11 @@ import weakref
 
 import numpy as np
 import pytest
+from oracle import two_path_counts, two_path_pairs
 from strategies import skewed_random_relation
 
 from repro.core.config import MMJoinConfig
 from repro.data.relation import Relation
-from repro.joins.baseline import combinatorial_two_path
-from repro.joins.hash_join import hash_join_project_counts
 from repro.serve import QuerySession
 from repro.shard.sharded import LazyCombinedRelation, ShardedRelation
 from repro.shard.spec import ShardingSpec
@@ -102,9 +101,9 @@ class TestDeltaRouting:
             session.append("R", delta)
             merged = Relation.from_pairs(sorted(_pairs(left) | set(delta)), name="R")
             assert (session.two_path("R", "S", use_memo=False).pairs
-                    == combinatorial_two_path(merged, right))
+                    == two_path_pairs(merged, right))
             counts = session.two_path("R", "S", counting=True, use_memo=False)
-            assert counts.counts == hash_join_project_counts(merged, right)
+            assert counts.counts == two_path_counts(merged, right)
 
     def test_delete_matches_recompute(self, write_inputs):
         left, right = write_inputs
@@ -114,7 +113,7 @@ class TestDeltaRouting:
             remaining = Relation.from_pairs(
                 sorted(_pairs(left) - set(doomed)), name="R")
             assert (session.two_path("R", "S", use_memo=False).pairs
-                    == combinatorial_two_path(remaining, right))
+                    == two_path_pairs(remaining, right))
 
     def test_apply_delta_rejects_foreign_keys_and_bad_op(self, write_inputs):
         left, _ = write_inputs
@@ -158,7 +157,7 @@ class TestLazyAbsorption:
             assert stored.materialized
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta)), name="R")
-            assert result.pairs == combinatorial_two_path(merged, right)
+            assert result.pairs == two_path_pairs(merged, right)
 
     @pytest.mark.parametrize("lazy_merge_rows", [0, 100])
     def test_folded_view_releases_previous_version(self, write_inputs, lazy_merge_rows):
@@ -173,7 +172,7 @@ class TestLazyAbsorption:
             assert session.sharded("R").shard(0).materialized
             gc.collect()
             assert previous() is None
-            assert result.pairs == combinatorial_two_path(session.relation("R"), right)
+            assert result.pairs == two_path_pairs(session.relation("R"), right)
 
     def test_concurrent_readers_all_see_the_merged_rows(self):
         # A reader that loses the race to fold a view must not fold it again
@@ -288,7 +287,7 @@ class TestWriteEdges:
             session.delete("R", absent)
             assert _pairs(session.relation("R")) == _pairs(left)
             assert (session.two_path("R", "S", use_memo=False).pairs
-                    == combinatorial_two_path(left, right))
+                    == two_path_pairs(left, right))
 
     def test_strict_delete_raises_and_mutates_nothing(self, write_inputs):
         left, right = write_inputs
@@ -339,7 +338,7 @@ class TestPostWriteRead:
             result = session.two_path("R", "S", use_memo=False)
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta)), name="R")
-            assert result.pairs == combinatorial_two_path(merged, right)
+            assert result.pairs == two_path_pairs(merged, right)
             _assert_only_touched_reran(result, {0})
 
     def test_two_appends_without_a_read_between(self, write_inputs):
@@ -353,7 +352,7 @@ class TestPostWriteRead:
             result = session.two_path("R", "S", use_memo=False)
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(first) | set(second)), name="R")
-            assert result.pairs == combinatorial_two_path(merged, right)
+            assert result.pairs == two_path_pairs(merged, right)
             _assert_only_touched_reran(result, {0, 1})
 
     def test_delete_reruns_only_the_touched_shards(self, write_inputs):
@@ -367,7 +366,7 @@ class TestPostWriteRead:
             result = session.two_path("R", "S", use_memo=False)
             remaining = Relation.from_pairs(
                 sorted(_pairs(left))[5:], name="R")
-            assert result.pairs == combinatorial_two_path(remaining, right)
+            assert result.pairs == two_path_pairs(remaining, right)
             _assert_only_touched_reran(result, set(owners.tolist()))
 
     def test_counting_read_after_append(self, write_inputs):
@@ -379,7 +378,7 @@ class TestPostWriteRead:
             result = session.two_path("R", "S", counting=True, use_memo=False)
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta)), name="R")
-            assert result.counts == hash_join_project_counts(merged, right)
+            assert result.counts == two_path_counts(merged, right)
             _assert_only_touched_reran(result, {0})
 
     def test_write_read_cycles_strand_no_generation(self, write_inputs):
@@ -406,7 +405,7 @@ class TestPostWriteRead:
                               result.result_block.nbytes))
             merged = Relation.from_pairs(
                 sorted(_pairs(left) | appended), name="R")
-            assert result.pairs == combinatorial_two_path(merged, right)
+            assert result.pairs == two_path_pairs(merged, right)
             artifacts_2nd, memo_2nd, result_2nd = sizes[1]
             artifacts, memo, result_bytes = sizes[-1]
             assert memo["entries"] == memo_2nd["entries"] == 1
@@ -438,7 +437,7 @@ class TestUnshardedWrites:
             expected = Relation.from_pairs(
                 sorted(_pairs(left) | set(delta[5:])), name="R")
             assert (session.two_path("R", "S", use_memo=False).pairs
-                    == combinatorial_two_path(expected, right))
+                    == two_path_pairs(expected, right))
 
 
 # --------------------------------------------------------------------------- #
